@@ -130,7 +130,7 @@ def _nodes_for_pc(model, frame, f: PiecewiseConstant, order: int) -> _NodeBatch:
     return _NodeBatch(x=x, w=w, s=c - g)
 
 
-def _nodes_for_callable(model, frame, f, panels: int, order: int) -> _NodeBatch:
+def _nodes_for_callable(model, f, panels: int, order: int) -> _NodeBatch:
     if model.dim != 1:
         raise NotImplementedError("quadrature checks are implemented for d=1")
     x, w = panel_nodes(-1.0, 1.0, panels, order)
@@ -141,11 +141,10 @@ def _nodes_for_callable(model, frame, f, panels: int, order: int) -> _NodeBatch:
     return _NodeBatch(x=x, w=w / 2.0, s=vals - g)
 
 
-def _batch(model, tau: float, f, *, order: int = 24, panels: int = 128) -> _NodeBatch:
-    frame = noise_frame(model.noise, tau)
+def _batch(model, frame, f, *, order: int, panels: int) -> _NodeBatch:
     if isinstance(f, PiecewiseConstant):
         return _nodes_for_pc(model, frame, f, order)
-    return _nodes_for_callable(model, frame, f, panels, order)
+    return _nodes_for_callable(model, f, panels, order)
 
 
 def _dist_values(frame, s: np.ndarray) -> np.ndarray:
@@ -177,7 +176,7 @@ def excess_risk(model: ConditionalModel, tau, f, *, order: int = 24, panels: int
     """Excess pinball risk of f: quadrature over P_X of the inner excess."""
     tv = tau_value(tau)
     frame = noise_frame(model.noise, tv)
-    nb = _batch(model, tv, f, order=order, panels=panels)
+    nb = _batch(model, frame, f, order=order, panels=panels)
     return float(np.sum(nb.w * excess_in_frame(frame, nb.s)))
 
 
@@ -187,7 +186,7 @@ def dist_norm(model: ConditionalModel, tau, f, r: float, *, order: int = 24, pan
         raise ValueError("r must be positive")
     tv = tau_value(tau)
     frame = noise_frame(model.noise, tv)
-    nb = _batch(model, tv, f, order=order, panels=panels)
+    nb = _batch(model, frame, f, order=order, panels=panels)
     return float(np.sum(nb.w * _dist_values(frame, nb.s) ** r) ** (1.0 / r))
 
 
@@ -195,7 +194,7 @@ def variance_term(model: ConditionalModel, tau, f, *, order: int = 24, panels: i
     """Second moment of L o f - L o f*, with f* the projected selection."""
     tv = tau_value(tau)
     frame = noise_frame(model.noise, tv)
-    nb = _batch(model, tv, f, order=order, panels=panels)
+    nb = _batch(model, frame, f, order=order, panels=panels)
     return float(np.sum(nb.w * _variance_values(frame, nb.s, tv)))
 
 
@@ -221,10 +220,6 @@ class CalibrationReport:
     @property
     def passed(self) -> bool:
         return bool(np.all(self.slack >= -self.tol))
-
-    @property
-    def worst_index(self) -> int:
-        return int(np.argmin(self.slack))
 
     def to_json(self) -> str:
         payload = {
@@ -262,7 +257,7 @@ def _sweep(model, tau, p, fs, *, order, panels, want_variance: bool):
     dists = np.empty(len(fs))
     variances = np.empty(len(fs)) if want_variance else None
     for i, f in enumerate(fs):
-        nb = _batch(model, tv, f, order=order, panels=panels)
+        nb = _batch(model, frame, f, order=order, panels=panels)
         excesses[i] = np.sum(nb.w * excess_in_frame(frame, nb.s))
         dists[i] = np.sum(nb.w * _dist_values(frame, nb.s) ** r) ** (1.0 / r)
         if want_variance:

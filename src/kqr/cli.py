@@ -18,32 +18,25 @@ import argparse
 import configparser
 import csv
 import hashlib
+import inspect
 import io
 import json
 import math
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from . import __version__
+from . import __version__, distributions
 from .calibration import (
     check_self_calibration,
     check_variance_bound,
     random_test_functions,
 )
-from .distributions import (
-    ConditionalModel,
-    SineLocation,
-    ZeroLocation,
-    bounded_density_mixture,
-    dirac_atom_mixture,
-    polynomial_density,
-    sample_joint,
-    two_atom,
-)
+from .distributions import ConditionalModel, SineLocation, ZeroLocation, sample_joint
 from .experiments import (
     RateConfig,
     lambda_grid,
@@ -51,19 +44,11 @@ from .experiments import (
     tv_svm,
 )
 from .inner_risk import excess_inner_risk, inner_risk, min_inner_risk
-from .kernels import GaussianKernel, MaternKernel, PolynomialKernel, spectrum_decay
-from .solver import kkt_residual, model_to_json, objective, train
+from .kernels import fit_power_law, gram_spectrum, kernel_spec_from_dict
+from .solver import SvmModel, model_to_json, train
 from .util import derive_rng, derive_seed_sequence, fmt17
 
-COMMANDS = (
-    "check-inner-risk",
-    "check-calibration",
-    "check-variance",
-    "train",
-    "tv-svm",
-    "rates",
-    "spectrum",
-)
+SECTIONS = ("run", "model", "kernel", "check", "data", "svm", "rates", "spectrum")
 
 
 class ConfigError(Exception):
@@ -75,15 +60,25 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _floats(text: str) -> list[float]:
-    out = []
-    for token in text.replace(",", " ").split():
-        out.append(math.inf if token.lower() in ("inf", "infinity") else float(token))
-    return out
+def _numbers(text: str, kind=float) -> list:
+    """A space- or comma-separated list; float() reads inf and infinity too."""
+    return [kind(token) for token in text.replace(",", " ").split()]
 
 
-def _ints(text: str) -> list[int]:
-    return [int(t) for t in text.replace(",", " ").split()]
+def _keywords(section, keys) -> dict:
+    """The given keys present in a [model] section, parsed for the library."""
+    return {key: tuple(_numbers(section[key])) if key in ("locations", "weights")
+            else section.getfloat(key) for key in keys if key in section}
+
+
+# family -> constructor in kqr.distributions, looked up at call time
+_MODEL_FAMILIES = {
+    "bounded-density-mixture": "bounded_density_mixture",
+    "uniform": "bounded_density_mixture",
+    "polynomial-density": "polynomial_density",
+    "dirac-atom-mixture": "dirac_atom_mixture",
+    "two-atom": "two_atom",
+}
 
 
 def _location(section) -> SineLocation | ZeroLocation:
@@ -91,64 +86,25 @@ def _location(section) -> SineLocation | ZeroLocation:
     if kind == "zero":
         return ZeroLocation()
     if kind == "sine":
-        return SineLocation(amplitude=section.getfloat("amplitude", 0.5))
+        return SineLocation(**_keywords(section, ("amplitude",)))
     raise ConfigError(f"unknown location {kind!r}")
 
 
 def build_model(section) -> ConditionalModel:
+    """The [model] keys map onto the family constructor's parameters by name;
+    a key left out takes the constructor's default.  dim stays 1, since the
+    quadrature checks and the reports are one-dimensional."""
     family = section.get("family", "bounded-density-mixture")
-    loc = _location(section)
-    hw = section.getfloat("halfwidth", 0.5)
-    if family in ("bounded-density-mixture", "uniform"):
-        return bounded_density_mixture(
-            halfwidth=hw,
-            contaminant_weight=section.getfloat("contaminant_weight", 0.0),
-            contaminant_atom=section.getfloat("contaminant_atom", 0.0),
-            location=loc,
-        )
-    if family == "polynomial-density":
-        return polynomial_density(
-            exponent=section.getfloat("exponent", 1.0),
-            halfwidth=hw,
-            contaminant_weight=section.getfloat("contaminant_weight", 0.0),
-            contaminant_atom=(
-                section.getfloat("contaminant_atom") if "contaminant_atom" in section else None
-            ),
-            location=loc,
-        )
-    if family == "dirac-atom-mixture":
-        return dirac_atom_mixture(
-            atom=section.getfloat("atom", 0.0),
-            uniform_weight=section.getfloat("uniform_weight", 0.15),
-            halfwidth=hw,
-            location=loc,
-        )
-    if family == "two-atom":
-        locs = _floats(section.get("locations", "-0.5 0.5"))
-        weights = _floats(section.get("weights", "0.5 0.5"))
-        return two_atom(locations=tuple(locs), weights=tuple(weights), location=loc)
-    raise ConfigError(f"unknown model family {family!r}")
-
-
-def build_kernel(section):
-    family = section.get("family", "gaussian")
-    if family == "gaussian":
-        return GaussianKernel(bandwidth=section.getfloat("bandwidth", 0.5))
-    if family == "polynomial":
-        return PolynomialKernel(
-            degree=section.getint("degree", 3),
-            offset=section.getfloat("offset", 1.0),
-            dim=section.getint("dim", 1),
-        )
-    if family == "matern":
-        return MaternKernel(
-            nu=section.getfloat("nu", 1.5),
-            lengthscale=section.getfloat("lengthscale", 0.5),
-        )
-    raise ConfigError(f"unknown kernel family {family!r}")
+    if family not in _MODEL_FAMILIES:
+        raise ConfigError(f"unknown model family {family!r}")
+    constructor = getattr(distributions, _MODEL_FAMILIES[family])
+    keys = inspect.signature(constructor).parameters.keys() - {"location", "dim"}
+    return constructor(location=_location(section), **_keywords(section, keys))
 
 
 def load_config(path: str) -> configparser.ConfigParser:
+    """Parse the INI file; every section the commands read is present,
+    empty when the file leaves it out."""
     parser = configparser.ConfigParser()
     p = Path(path)
     if not p.is_file():
@@ -157,6 +113,9 @@ def load_config(path: str) -> configparser.ConfigParser:
         parser.read_string(p.read_text(), source=path)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
+    for name in SECTIONS:
+        if not parser.has_section(name):
+            parser.add_section(name)
     return parser
 
 
@@ -165,12 +124,18 @@ def load_config(path: str) -> configparser.ConfigParser:
 # ---------------------------------------------------------------------------
 
 
-def _write(out_dir: Path, name: str, text: str) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / name).write_text(text)
+@dataclass
+class Outcome:
+    """What a command produced; `main` writes it out and picks the exit code."""
+
+    report: str                     # report.csv body
+    summary: dict                   # summary.json
+    message: str                    # the line printed on stdout
+    passed: bool = True             # False when an inequality fails: exit 1
+    model: SvmModel | None = None   # model.json, for the solver commands
 
 
-def _manifest(command: str, config_path: str, seed: int, extra=None) -> str:
+def _manifest(command: str, config_path: str, seed: int) -> str:
     digest = hashlib.sha256(Path(config_path).read_bytes()).hexdigest()
     payload = {
         "command": command,
@@ -185,8 +150,6 @@ def _manifest(command: str, config_path: str, seed: int, extra=None) -> str:
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     }
-    if extra:
-        payload.update(extra)
     return json.dumps(payload, indent=2)
 
 
@@ -200,17 +163,21 @@ def _csv_text(header, rows) -> str:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: (cfg, seed, strict_grid) -> Outcome
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_inner_risk(cfg, out_dir: Path, seed: int, config_path: str) -> int:
-    section = cfg["check"] if "check" in cfg else {}
-    model = build_model(cfg["model"] if "model" in cfg else {})
-    taus = _floats(section.get("taus", "0.1 0.5 0.9"))
-    n_x = int(section.get("xs", 20))
-    n_t = int(section.get("t_points", 50))
-    tol = float(section.get("tolerance", 1e-8))
+def _seed(seed: int, *labels) -> int:
+    return int(derive_seed_sequence(seed, *labels).generate_state(1)[0])
+
+
+def _cmd_check_inner_risk(cfg, seed: int, strict_grid: bool) -> Outcome:
+    check = cfg["check"]
+    model = build_model(cfg["model"])
+    taus = _numbers(check.get("taus", "0.1 0.5 0.9"))
+    n_x = check.getint("xs", 20)
+    n_t = check.getint("t_points", 50)
+    tol = check.getfloat("tolerance", 1e-8)
     rng = derive_rng(seed, "inner-risk-xs")
     xs = rng.uniform(-1.0, 1.0, size=(n_x, model.dim))
     ts = np.linspace(-1.0, 1.0, n_t)
@@ -225,36 +192,30 @@ def _cmd_check_inner_risk(cfg, out_dir: Path, seed: int, config_path: str) -> in
                 err = float(abs(a - b))
                 worst = max(worst, err)
                 rows.append([xi, fmt17(tau), fmt17(t), fmt17(a), fmt17(b), fmt17(err)])
-    _write(out_dir, "report.csv",
-           _csv_text(["x_index", "tau", "t", "closed_form", "direct", "abs_err"], rows))
     passed = bool(worst <= tol)
-    _write(out_dir, "summary.json", json.dumps(
-        {"max_abs_err": worst, "tolerance": tol, "pass": passed}, indent=2))
-    _write(out_dir, "manifest.json", _manifest("check-inner-risk", config_path, seed))
-    if not passed:
-        print(f"FAIL: max closed-form/direct gap {worst:g} exceeds {tol:g}")
-        return 1
-    print(f"ok: max gap {worst:g} within {tol:g}")
-    return 0
+    return Outcome(
+        _csv_text(["x_index", "tau", "t", "closed_form", "direct", "abs_err"], rows),
+        {"max_abs_err": worst, "tolerance": tol, "pass": passed},
+        f"ok: max gap {worst:g} within {tol:g}" if passed
+        else f"FAIL: max closed-form/direct gap {worst:g} exceeds {tol:g}",
+        passed,
+    )
 
 
-def _run_calibration(cfg, out_dir, seed, config_path, command: str) -> int:
-    section = cfg["check"] if "check" in cfg else {}
-    model = build_model(cfg["model"] if "model" in cfg else {})
-    taus = _floats(section.get("taus", "0.1 0.5 0.9"))
-    ps = _floats(section.get("ps", "1 4 inf"))
-    cells = int(section.get("cells", 8))
-    count = int(section.get("count", 1000))
-    tol = float(section.get("tolerance", 1e-8))
-    checker = check_self_calibration if command == "check-calibration" else check_variance_bound
-
+def _check_inequality(cfg, seed: int, checker) -> Outcome:
+    check = cfg["check"]
+    model = build_model(cfg["model"])
+    taus = _numbers(check.get("taus", "0.1 0.5 0.9"))
+    ps = _numbers(check.get("ps", "1 4 inf"))
+    cells = check.getint("cells", 8)
+    count = check.getint("count", 1000)
+    tol = check.getfloat("tolerance", 1e-8)
     rows = []
     min_slack = math.inf
     failed_at = None
     for tau in taus:
         for p in ps:
-            fs_seed = derive_seed_sequence(seed, "test-functions", tau, p).generate_state(1)[0]
-            fs = random_test_functions(cells, count, int(fs_seed))
+            fs = random_test_functions(cells, count, _seed(seed, "test-functions", tau, p))
             report = checker(model, tau, p, fs, tol=tol)
             for i, (lhs, rhs) in enumerate(zip(report.lhs, report.rhs)):
                 slack = rhs - lhs
@@ -264,139 +225,133 @@ def _run_calibration(cfg, out_dir, seed, config_path, command: str) -> int:
                         failed_at = (tau, p, i)
                 rows.append([fmt17(tau), "inf" if math.isinf(p) else fmt17(p),
                              i, fmt17(lhs), fmt17(rhs), fmt17(slack)])
-    _write(out_dir, "report.csv",
-           _csv_text(["tau", "p", "f_index", "lhs", "rhs", "slack"], rows))
-    passed = failed_at is None
-    _write(out_dir, "summary.json", json.dumps(
-        {"min_slack": min_slack, "tolerance": tol, "pass": passed,
-         "rows": len(rows)}, indent=2))
-    _write(out_dir, "manifest.json", _manifest(command, config_path, seed))
-    if not passed:
+    if failed_at is None:
+        message = f"ok: {len(rows)} rows, min slack {min_slack:g}"
+    else:
         tau, p, i = failed_at
-        print(f"FAIL: slack {min_slack:g} below -{tol:g} at tau={tau} p={p} f_index={i}")
-        return 1
-    print(f"ok: {len(rows)} rows, min slack {min_slack:g}")
-    return 0
+        message = f"FAIL: slack {min_slack:g} below -{tol:g} at tau={tau} p={p} f_index={i}"
+    return Outcome(
+        _csv_text(["tau", "p", "f_index", "lhs", "rhs", "slack"], rows),
+        {"min_slack": min_slack, "tolerance": tol, "pass": failed_at is None, "rows": len(rows)},
+        message,
+        failed_at is None,
+    )
 
 
-def _cmd_train(cfg, out_dir, seed, config_path) -> int:
-    model = build_model(cfg["model"] if "model" in cfg else {})
-    spec = build_kernel(cfg["kernel"] if "kernel" in cfg else {})
-    svm = cfg["svm"] if "svm" in cfg else {}
-    data_cfg = cfg["data"] if "data" in cfg else {}
-    n = int(data_cfg.get("n", 200))
-    lam = float(svm.get("lambda", 0.01))
-    tau = float(svm.get("tau", 0.5))
-    tol = float(svm.get("tol", 1e-6))
-    max_iter = int(svm.get("max_iter", 1000))
-    data_seed = derive_seed_sequence(seed, "train-data").generate_state(1)[0]
-    data = sample_joint(model, n, int(data_seed))
-    trained, diag = train(data, spec, lam, tau, tol, max_iter, seed=seed)
+def _sample(cfg, seed: int, label: str):
+    """The [kernel] spec and a sample of [data] n points from the [model]."""
+    model = build_model(cfg["model"])
+    spec = kernel_spec_from_dict(cfg["kernel"])
+    return spec, sample_joint(model, cfg["data"].getint("n", 200), _seed(seed, label))
+
+
+def _cmd_train(cfg, seed: int, strict_grid: bool) -> Outcome:
+    svm = cfg["svm"]
+    spec, data = _sample(cfg, seed, "train-data")
+    lam = svm.getfloat("lambda", 0.01)
+    tau = svm.getfloat("tau", 0.5)
+    trained, diag = train(data, spec, lam, tau, svm.getfloat("tol", 1e-6),
+                          svm.getint("max_iter", 1000), seed=seed)
     preds = trained.kernel.pairwise(data.x, trained.support_x) @ trained.coef
-    rows = []
-    for i in range(n):
-        rows.append([i, fmt17(data.x[i, 0]), fmt17(data.y[i]),
-                     fmt17(preds[i]), fmt17(np.clip(preds[i], -1, 1)),
-                     fmt17(trained.coef[i])])
-    _write(out_dir, "report.csv",
-           _csv_text(["i", "x", "y", "prediction", "clipped", "alpha"], rows))
-    _write(out_dir, "model.json", model_to_json(trained))
-    _write(out_dir, "summary.json", json.dumps({
-        "n": n, "lambda": lam, "tau": tau,
-        "objective": diag.final_objective,
-        "kkt_residual": diag.kkt_residual,
-        "iterations": diag.iterations,
-        "converged": diag.converged,
-    }, indent=2))
-    _write(out_dir, "manifest.json", _manifest("train", config_path, seed))
-    print(f"ok: objective {diag.final_objective:g}, kkt {diag.kkt_residual:g}, "
-          f"converged {diag.converged}")
-    return 0
+    rows = [[i, fmt17(data.x[i, 0]), fmt17(data.y[i]), fmt17(preds[i]),
+             fmt17(np.clip(preds[i], -1, 1)), fmt17(trained.coef[i])]
+            for i in range(len(data))]
+    return Outcome(
+        _csv_text(["i", "x", "y", "prediction", "clipped", "alpha"], rows),
+        {
+            "n": len(data), "lambda": lam, "tau": tau,
+            "objective": diag.final_objective,
+            "kkt_residual": diag.kkt_residual,
+            "iterations": diag.iterations,
+            "converged": diag.converged,
+        },
+        f"ok: objective {diag.final_objective:g}, kkt {diag.kkt_residual:g}, "
+        f"converged {diag.converged}",
+        model=trained,
+    )
 
 
-def _cmd_tv_svm(cfg, out_dir, seed, config_path, strict_grid: bool) -> int:
-    model = build_model(cfg["model"] if "model" in cfg else {})
-    spec = build_kernel(cfg["kernel"] if "kernel" in cfg else {})
-    svm = cfg["svm"] if "svm" in cfg else {}
-    data_cfg = cfg["data"] if "data" in cfg else {}
-    n = int(data_cfg.get("n", 200))
-    tau = float(svm.get("tau", 0.5))
-    tol = float(svm.get("tol", 1e-5))
-    max_iter = int(svm.get("max_iter", 300))
-    data_seed = derive_seed_sequence(seed, "tv-data").generate_state(1)[0]
-    data = sample_joint(model, n, int(data_seed))
-    grid = lambda_grid(n, "strict" if strict_grid else "geometric")
-    result = tv_svm(data, spec, grid, tau, tol=tol, max_iter=max_iter, seed=seed)
+def _cmd_tv_svm(cfg, seed: int, strict_grid: bool) -> Outcome:
+    svm = cfg["svm"]
+    spec, data = _sample(cfg, seed, "tv-data")
+    grid = lambda_grid(len(data), "strict" if strict_grid else "geometric")
+    result = tv_svm(data, spec, grid, svm.getfloat("tau", 0.5), tol=svm.getfloat("tol", 1e-5),
+                    max_iter=svm.getint("max_iter", 300), seed=seed)
     rows = [[fmt17(lam), fmt17(risk), int(result.diagnostics[lam].converged)]
             for lam, risk in sorted(result.validation_risks.items(), reverse=True)]
-    _write(out_dir, "report.csv",
-           _csv_text(["lambda", "validation_risk", "converged"], rows))
-    _write(out_dir, "model.json", model_to_json(result.model))
-    _write(out_dir, "summary.json", json.dumps({
-        "chosen_lambda": result.chosen_lambda,
-        "grid_mode": grid.mode,
-        "grid_size": len(grid.values),
-        "validation_risk": result.validation_risks[result.chosen_lambda],
-    }, indent=2))
-    _write(out_dir, "manifest.json", _manifest("tv-svm", config_path, seed))
-    print(f"ok: chose lambda {result.chosen_lambda:g} out of {len(grid.values)}")
-    return 0
-
-
-def _cmd_rates(cfg, out_dir, seed, config_path, strict_grid: bool) -> int:
-    model = build_model(cfg["model"] if "model" in cfg else {})
-    spec = build_kernel(cfg["kernel"] if "kernel" in cfg else {})
-    section = cfg["rates"] if "rates" in cfg else {}
-    rho_raw = section.get("rho", "0.1")
-    config = RateConfig(
-        model=model,
-        kernel=spec,
-        tau=float(section.get("tau", 0.5)),
-        sample_sizes=tuple(_ints(section.get("sample_sizes", "128 256 512"))),
-        repetitions=int(section.get("repetitions", 5)),
-        seed=seed,
-        beta=float(section.get("beta", 1.0)),
-        p=_floats(section.get("p", "inf"))[0],
-        q=float(section.get("q", 2.0)),
-        rho=None if rho_raw.strip() == "estimate" else float(rho_raw),
-        grid_mode="strict" if strict_grid else section.get("grid", "geometric"),
-        tol=float(section.get("tol", 1e-4)),
-        max_iter=int(section.get("max_iter", 300)),
+    return Outcome(
+        _csv_text(["lambda", "validation_risk", "converged"], rows),
+        {
+            "chosen_lambda": result.chosen_lambda,
+            "grid_mode": grid.mode,
+            "grid_size": len(grid.values),
+            "validation_risk": result.validation_risks[result.chosen_lambda],
+        },
+        f"ok: chose lambda {result.chosen_lambda:g} out of {len(grid.values)}",
+        model=result.model,
     )
-    report = learning_rate_experiment(config)
-    _write(out_dir, "report.csv", report.to_csv())
-    _write(out_dir, "summary.json", report.to_json())
-    _write(out_dir, "manifest.json", _manifest("rates", config_path, seed))
-    print(f"ok: {len(report.rows)} rows; excess slope {report.excess_slope}, "
-          f"dist slope {report.dist_slope}, theory gamma {report.theoretical_gamma:g}")
-    return 0
 
 
-def _cmd_spectrum(cfg, out_dir, seed, config_path) -> int:
-    spec = build_kernel(cfg["kernel"] if "kernel" in cfg else {})
-    section = cfg["spectrum"] if "spectrum" in cfg else {}
-    n = int(section.get("n", 500))
-    floor = float(section.get("floor", 1e-10))
-    dim = int(section.get("dim", 1))
+def _cmd_rates(cfg, seed: int, strict_grid: bool) -> Outcome:
+    rates = cfg["rates"]
+    rho = rates.get("rho", "0.1")
+    report = learning_rate_experiment(RateConfig(
+        model=build_model(cfg["model"]),
+        kernel=kernel_spec_from_dict(cfg["kernel"]),
+        tau=rates.getfloat("tau", 0.5),
+        sample_sizes=tuple(_numbers(rates.get("sample_sizes", "128 256 512"), int)),
+        repetitions=rates.getint("repetitions", 5),
+        seed=seed,
+        beta=rates.getfloat("beta", 1.0),
+        p=_numbers(rates.get("p", "inf"))[0],
+        q=rates.getfloat("q", 2.0),
+        rho=None if rho.strip() == "estimate" else float(rho),
+        grid_mode="strict" if strict_grid else rates.get("grid", "geometric"),
+        tol=rates.getfloat("tol", 1e-4),
+        max_iter=rates.getint("max_iter", 300),
+    ))
+    return Outcome(
+        report.to_csv(),
+        report.summary(),
+        f"ok: {len(report.rows)} rows; excess slope {report.excess_slope}, "
+        f"dist slope {report.dist_slope}, theory gamma {report.theoretical_gamma:g}",
+    )
+
+
+def _cmd_spectrum(cfg, seed: int, strict_grid: bool) -> Outcome:
+    spec = kernel_spec_from_dict(cfg["kernel"])
+    section = cfg["spectrum"]
     rng = derive_rng(seed, "spectrum-points")
-    xs = rng.uniform(-1.0, 1.0, size=(n, dim))
-    from .kernels import gram
+    xs = rng.uniform(-1.0, 1.0, size=(section.getint("n", 500), section.getint("dim", 1)))
+    evals = gram_spectrum(spec, xs)
+    est = fit_power_law(evals, floor=section.getfloat("floor", 1e-10))
+    return Outcome(
+        _csv_text(["i", "eigenvalue"], [[i + 1, fmt17(v)] for i, v in enumerate(evals)]),
+        {
+            "rho_hat": est.rho_hat,
+            "a_hat": est.a_hat,
+            "n_used": est.n_used,
+            "index_range": list(est.index_range),
+            "fit_residual": est.residual,
+            "note": "empirical Gram spectrum; approximates the integral operator",
+        },
+        f"ok: rho_hat {est.rho_hat:.4f} from {est.n_used} eigenvalues",
+    )
 
-    evals = np.sort(np.linalg.eigvalsh(gram(spec, xs) / n))[::-1]
-    est = spectrum_decay(spec, xs, floor=floor)
-    rows = [[i + 1, fmt17(v)] for i, v in enumerate(evals)]
-    _write(out_dir, "report.csv", _csv_text(["i", "eigenvalue"], rows))
-    _write(out_dir, "summary.json", json.dumps({
-        "rho_hat": est.rho_hat,
-        "a_hat": est.a_hat,
-        "n_used": est.n_used,
-        "index_range": list(est.index_range),
-        "fit_residual": est.residual,
-        "note": "empirical Gram spectrum; approximates the integral operator",
-    }, indent=2))
-    _write(out_dir, "manifest.json", _manifest("spectrum", config_path, seed))
-    print(f"ok: rho_hat {est.rho_hat:.4f} from {est.n_used} eigenvalues")
-    return 0
+
+# name -> (command, whether it takes --strict-grid); library functions are
+# named in the bodies, so a rebinding of a kqr module global holds here too
+COMMANDS = {
+    "check-inner-risk": (_cmd_check_inner_risk, False),
+    "check-calibration": (
+        lambda cfg, seed, _: _check_inequality(cfg, seed, check_self_calibration), False),
+    "check-variance": (
+        lambda cfg, seed, _: _check_inequality(cfg, seed, check_variance_bound), False),
+    "train": (_cmd_train, False),
+    "tv-svm": (_cmd_tv_svm, True),
+    "rates": (_cmd_rates, True),
+    "spectrum": (_cmd_spectrum, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -409,39 +364,35 @@ def main(argv=None) -> int:
         prog="kqr", description="kernel quantile regression checks and experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, strict_grid) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="overrides config seed")
-        if name in ("rates", "tv-svm"):
+        if strict_grid:
             p.add_argument("--strict-grid", action="store_true",
                            help="use the exact n^-2 net instead of the geometric grid")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        run = cfg["run"] if "run" in cfg else {}
-        seed = args.seed if args.seed is not None else int(run.get("seed", 0))
+        seed = args.seed if args.seed is not None else cfg["run"].getint("seed", 0)
         if seed < 0 or seed >= 2**64:
             raise ConfigError("seed must be an unsigned 64-bit integer")
-        out_dir = Path(args.out)
-        if args.command == "check-inner-risk":
-            return _cmd_check_inner_risk(cfg, out_dir, seed, args.config)
-        if args.command in ("check-calibration", "check-variance"):
-            return _run_calibration(cfg, out_dir, seed, args.config, args.command)
-        if args.command == "train":
-            return _cmd_train(cfg, out_dir, seed, args.config)
-        if args.command == "tv-svm":
-            return _cmd_tv_svm(cfg, out_dir, seed, args.config, args.strict_grid)
-        if args.command == "rates":
-            return _cmd_rates(cfg, out_dir, seed, args.config, args.strict_grid)
-        if args.command == "spectrum":
-            return _cmd_spectrum(cfg, out_dir, seed, args.config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        command, _ = COMMANDS[args.command]
+        outcome = command(cfg, seed, getattr(args, "strict_grid", False))
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.csv").write_text(outcome.report)
+    if outcome.model is not None:
+        (out_dir / "model.json").write_text(model_to_json(outcome.model))
+    (out_dir / "summary.json").write_text(json.dumps(outcome.summary, indent=2))
+    (out_dir / "manifest.json").write_text(_manifest(args.command, args.config, seed))
+    print(outcome.message)
+    return 0 if outcome.passed else 1
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ import numpy as np
 
 from .losses import Dataset, tau_value
 from .noise import Atom, NoiseLaw, PowerPiece
-from .util import gauss_legendre
 
 __all__ = [
     "QuantileInterval",
@@ -147,14 +146,6 @@ class ZeroLocation:
 
     def to_dict(self):
         return {"kind": "zero"}
-
-
-def location_from_dict(d) -> "SineLocation | ZeroLocation":
-    if d["kind"] == "sine":
-        return SineLocation(amplitude=float(d.get("amplitude", 0.5)))
-    if d["kind"] == "zero":
-        return ZeroLocation()
-    raise ValueError(f"unknown location kind {d['kind']!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -427,25 +418,16 @@ def type_q_params(model: ConditionalModel, x, tau) -> TypeQParams:
     return _certificate(model, tau_value(tau))
 
 
-def gamma_inv_norm(model: ConditionalModel, tau, p, *, x_order: int = 64) -> float:
+def gamma_inv_norm(model: ConditionalModel, tau, p) -> float:
     """L_p(P_X) norm of x -> 1/gamma(x); p = inf gives the supremum.
 
-    gamma is constant in x for every family here, so the quadrature is exact;
-    it still walks the grid so a non-applicable certificate anywhere raises.
+    The certificate is shift-invariant, so gamma is the same at every x and
+    every L_p norm under the probability P_X is 1/gamma.  Raises
+    CertificateError where the certificate does not apply.
     """
-    tv = tau_value(tau)
-    if model.dim != 1:
-        raise NotImplementedError("gamma_inv_norm quadrature is implemented for d=1")
-    _, weights = gauss_legendre(x_order)
-    # The certificate is shift-invariant, so it is identical at every node;
-    # one evaluation covers the whole grid (and raises if non-applicable).
-    inv = np.full(x_order, 1.0 / _certificate(model, tv).gamma)
-    if math.isinf(p):
-        return float(np.max(inv))
-    if p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive or inf")
-    wnorm = weights / weights.sum()
-    return float(np.sum(wnorm * inv**p) ** (1.0 / p))
+    return 1.0 / _certificate(model, tau_value(tau)).gamma
 
 
 def sample_joint(model: ConditionalModel, n: int, seed: int) -> Dataset:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +25,7 @@ from .calibration import dist_norm, excess_risk, theta_exponent
 from .distributions import ConditionalModel, sample_joint
 from .kernels import gram, spectrum_decay
 from .losses import Dataset, pinball_loss, tau_value
-from .solver import SolveDiagnostics, SvmModel, predict_clipped, train
+from .solver import SolveDiagnostics, SvmModel, check_psd, predict_clipped, train
 from .util import derive_rng, derive_seed_sequence, fmt17
 
 __all__ = [
@@ -83,9 +82,6 @@ class TvSvmResult:
     validation_risks: dict[float, float]
     diagnostics: dict[float, SolveDiagnostics]
 
-    def __iter__(self):  # allow (model, lam) unpacking
-        return iter((self.model, self.chosen_lambda))
-
 
 def tv_svm(
     data: Dataset,
@@ -114,9 +110,7 @@ def tv_svm(
     m = n // 2 + 1
     d1, d2 = data.subset(0, m), data.subset(m, n)
     g1 = gram(spec, d1.x)
-    min_eig = float(np.linalg.eigvalsh(g1)[0])
-    if min_eig < -1e-8:
-        raise ValueError(f"Gram matrix is not PSD within tolerance: min eig {min_eig:g}")
+    check_psd(g1)
     k21 = spec.pairwise(d2.x, d1.x)
 
     risks: dict[float, float] = {}
@@ -242,9 +236,6 @@ class RateReport:
             "mean_excess": {str(k): v for k, v in sorted(self.mean_excess.items())},
             "mean_dist": {str(k): v for k, v in sorted(self.mean_dist.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary(), indent=2)
 
 
 def fit_loglog_slope(ns, values) -> float:

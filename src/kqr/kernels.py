@@ -9,7 +9,7 @@ the fitted exponent is a diagnostic, not the operator's true decay rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "kernel_spec_from_dict",
     "kernel_eval",
     "gram",
+    "gram_spectrum",
     "DecayEstimate",
     "fit_power_law",
     "spectrum_decay",
@@ -38,8 +39,8 @@ class GaussianKernel:
     bandwidth: float = 0.5
 
     def __post_init__(self):
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not (math.isfinite(self.bandwidth) and self.bandwidth > 0):
+            raise ValueError("bandwidth must be finite and positive")
 
     def pairwise(self, xs, ys) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -61,12 +62,15 @@ class PolynomialKernel:
     def __post_init__(self):
         if self.degree < 1:
             raise ValueError("degree must be >= 1")
-        if self.offset < 0:
-            raise ValueError("offset must be nonnegative")
+        if not (math.isfinite(self.offset) and self.offset >= 0):
+            raise ValueError("offset must be finite and nonnegative")
 
     def pairwise(self, xs, ys) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        # the normalization by offset + dim keeps k <= 1 only on [-1, 1]^dim
+        if xs.shape[1] != self.dim or ys.shape[1] != self.dim:
+            raise ValueError(f"polynomial kernel of dim {self.dim} needs points of dim {self.dim}")
         base = (self.offset + xs @ ys.T) / (self.offset + self.dim)
         return base**self.degree
 
@@ -92,8 +96,8 @@ class MaternKernel:
     def __post_init__(self):
         if self.nu not in _MATERN_POLY:
             raise ValueError("nu must be one of 0.5, 1.5, 2.5")
-        if self.lengthscale <= 0:
-            raise ValueError("lengthscale must be positive")
+        if not (math.isfinite(self.lengthscale) and self.lengthscale > 0):
+            raise ValueError("lengthscale must be finite and positive")
 
     def pairwise(self, xs, ys) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -106,17 +110,21 @@ class MaternKernel:
         return {"family": "matern", "nu": self.nu, "lengthscale": self.lengthscale}
 
 
+_FAMILIES = {"gaussian": GaussianKernel, "polynomial": PolynomialKernel, "matern": MaternKernel}
+
+
 def kernel_spec_from_dict(d) -> GaussianKernel | PolynomialKernel | MaternKernel:
-    fam = d["family"]
-    if fam == "gaussian":
-        return GaussianKernel(bandwidth=float(d["bandwidth"]))
-    if fam == "polynomial":
-        return PolynomialKernel(degree=int(d["degree"]),
-                                offset=float(d.get("offset", 1.0)),
-                                dim=int(d.get("dim", 1)))
-    if fam == "matern":
-        return MaternKernel(nu=float(d["nu"]), lengthscale=float(d["lengthscale"]))
-    raise ValueError(f"unknown kernel family {fam!r}")
+    """Kernel from its to_dict() form or from a config section of strings.
+
+    A missing family means Gaussian and a missing hyperparameter takes the
+    constructor's default; keys that are not hyperparameters are ignored.
+    """
+    family = d.get("family", "gaussian")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown kernel family {family!r}")
+    cls = _FAMILIES[family]
+    # every hyperparameter has a default, and the default's type parses the value
+    return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls) if f.name in d})
 
 
 def kernel_eval(spec, x, x2) -> float:
@@ -169,11 +177,14 @@ def fit_power_law(eigenvalues, *, floor: float = 1e-10, min_count: int = 5) -> D
     )
 
 
-def spectrum_decay(spec, xs, *, floor: float = 1e-10) -> DecayEstimate:
-    """Decay estimate from the eigenvalues of Gram/n at the given points."""
+def gram_spectrum(spec, xs) -> np.ndarray:
+    """Eigenvalues of Gram/n at the given points, largest first."""
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[0] < 20:
         raise ValueError("need at least 20 points to estimate the spectrum")
-    g = gram(spec, xs) / xs.shape[0]
-    evals = np.linalg.eigvalsh(g)
-    return fit_power_law(evals, floor=floor)
+    return np.sort(np.linalg.eigvalsh(gram(spec, xs) / xs.shape[0]))[::-1]
+
+
+def spectrum_decay(spec, xs, *, floor: float = 1e-10) -> DecayEstimate:
+    """Decay estimate from the eigenvalues of Gram/n at the given points."""
+    return fit_power_law(gram_spectrum(spec, xs), floor=floor)

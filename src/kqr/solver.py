@@ -275,6 +275,13 @@ def _coordinate_descent(g, y, lo, up, alpha0, tol, max_iter, band, seed):
     return best_alpha, best_kkt, epochs, converged, tuple(history)
 
 
+def check_psd(g: np.ndarray) -> None:
+    """Raise ValueError unless the Gram matrix is PSD to within roundoff."""
+    min_eig = float(np.linalg.eigvalsh(g)[0])
+    if min_eig < -_PSD_TOL:
+        raise ValueError(f"Gram matrix is not PSD within tolerance: min eig {min_eig:g}")
+
+
 def train(
     data: Dataset,
     spec,
@@ -300,9 +307,7 @@ def train(
     n = len(data)
     g = gram(spec, data.x) if gram_matrix is None else gram_matrix
     if psd_check:
-        min_eig = float(np.linalg.eigvalsh(g)[0])
-        if min_eig < -_PSD_TOL:
-            raise ValueError(f"Gram matrix is not PSD within tolerance: min eig {min_eig:g}")
+        check_psd(g)
     lo, up = _bounds(tv, lam, n)
     alpha0 = np.zeros(n) if warm_start is None else np.clip(warm_start, lo, up)
     alpha, kkt, epochs, converged, history = _coordinate_descent(

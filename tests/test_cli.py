@@ -193,3 +193,56 @@ def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate", "--config", "x", "--out", "y"])
     assert exc.value.code == 2
+
+
+def test_missing_model_section_takes_library_defaults(tmp_path):
+    import configparser
+
+    from kqr.distributions import bounded_density_mixture
+
+    check = "[run]\nseed = 4\n\n[check]\ntaus = 0.3\nps = 2\ncells = 3\ncount = 5\n"
+    bare = write_config(tmp_path, check, "bare.ini")
+    full = configparser.ConfigParser()
+    full.read_string(check)
+    full["model"] = bounded_density_mixture().to_config()
+    with open(tmp_path / "full.ini", "w") as fh:
+        full.write(fh)
+    out1, out2 = tmp_path / "bare", tmp_path / "full"
+    assert main(["check-calibration", "--config", bare, "--out", str(out1)]) == 0
+    assert main(["check-calibration", "--config", str(tmp_path / "full.ini"),
+                 "--out", str(out2)]) == 0
+    assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+def test_missing_kernel_section_takes_library_defaults(tmp_path):
+    from kqr.kernels import GaussianKernel
+
+    kernel = "\n".join(f"{k} = {v}" for k, v in GaussianKernel().to_dict().items())
+    bare = write_config(tmp_path, "[spectrum]\nn = 40\n", "bare.ini")
+    full = write_config(tmp_path, f"[kernel]\n{kernel}\n\n[spectrum]\nn = 40\n", "full.ini")
+    out1, out2 = tmp_path / "bare", tmp_path / "full"
+    assert main(["spectrum", "--config", bare, "--out", str(out1)]) == 0
+    assert main(["spectrum", "--config", full, "--out", str(out2)]) == 0
+    assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+def _no_eigendecomposition(monkeypatch):
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigendecomposition before the kernel was validated")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+def test_nan_bandwidth_exits_2_before_eigendecomposition(tmp_path, monkeypatch):
+    _no_eigendecomposition(monkeypatch)
+    cfg = write_config(tmp_path, TRAIN_CFG.replace("bandwidth = 0.5", "bandwidth = nan"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_kernel_dim_mismatch_exits_2_before_eigendecomposition(tmp_path, monkeypatch):
+    _no_eigendecomposition(monkeypatch)
+    cfg = write_config(tmp_path, "[kernel]\nfamily = polynomial\ndim = 1\n\n"
+                                 "[spectrum]\nn = 40\ndim = 2\n")
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

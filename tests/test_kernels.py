@@ -123,3 +123,34 @@ def test_spec_roundtrip():
         kernel_spec_from_dict({"family": "nope"})
     with pytest.raises(ValueError):
         MaternKernel(nu=2.0)
+
+
+@pytest.mark.parametrize("cls, kwargs", [
+    (GaussianKernel, {"bandwidth": math.nan}),
+    (GaussianKernel, {"bandwidth": math.inf}),
+    (GaussianKernel, {"bandwidth": 0.0}),
+    (MaternKernel, {"lengthscale": math.nan}),
+    (MaternKernel, {"lengthscale": math.inf}),
+    (MaternKernel, {"lengthscale": -0.5}),
+    (PolynomialKernel, {"offset": math.nan}),
+    (PolynomialKernel, {"offset": math.inf}),
+    (PolynomialKernel, {"offset": -1.0}),
+])
+def test_bad_hyperparameters_rejected(cls, kwargs):
+    with pytest.raises(ValueError):
+        cls(**kwargs)
+
+
+def test_polynomial_dim_must_match_points():
+    corner = np.ones((1, 2))
+    with pytest.raises(ValueError, match="dim"):
+        gram(PolynomialKernel(dim=1), corner)
+    with pytest.raises(ValueError, match="dim"):
+        PolynomialKernel(dim=2).pairwise(corner, np.ones((1, 1)))
+    assert kernel_eval(PolynomialKernel(dim=2), corner, corner) == pytest.approx(1.0)
+
+
+def test_spec_from_config_strings_takes_defaults():
+    assert kernel_spec_from_dict({}) == GaussianKernel()
+    assert kernel_spec_from_dict({"family": "polynomial", "dim": "2"}) == PolynomialKernel(dim=2)
+    assert kernel_spec_from_dict({"family": "matern", "nu": "0.5"}) == MaternKernel(nu=0.5)
