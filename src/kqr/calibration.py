@@ -15,11 +15,15 @@ where f*(x) is the metric projection of f(x) onto the quantile interval.
 The checkers evaluate both sides by quadrature over the uniform marginal
 and report the slack per test function.
 
-Quadrature strategy: for piecewise-constant test functions each cell is
-split at the x-values where f(x) - g(x) crosses a breakpoint of the noise
-law or a quantile endpoint, leaving analytic integrands on each segment;
-Gauss-Legendre then integrates them to near machine precision.  Generic
-callables fall back to a composite rule on a uniform panel grid.
+Quadrature strategy: one node set serves a whole list of test functions
+and every functional.  Each (function, cell) pair of a piecewise-constant
+f is split, all pairs at once, where f(x) - g(x) crosses a breakpoint of
+the noise law or a quantile endpoint and at the sine extrema, leaving
+analytic integrands on each segment; a generic callable gets a composite
+rule on a uniform panel grid instead.  One batched Gauss-Legendre call
+places the nodes of every segment, the integrands are evaluated once over
+all nodes, and each function's contiguous slice is summed on its own, so
+a function gets the same numbers alone as in a batch.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 from .distributions import ConditionalModel, gamma_inv_norm, type_q_params
 from .inner_risk import excess_in_frame, noise_frame
 from .losses import tau_value
-from .util import panel_nodes, segment_nodes
+from .util import segment_nodes
 
 __all__ = [
     "PiecewiseConstant",
@@ -83,68 +87,44 @@ def random_test_functions(cells: int, count: int, seed: int) -> list[PiecewiseCo
 
 
 # ---------------------------------------------------------------------------
-# quadrature cores
+# quadrature: one node set for a list of test functions
 # ---------------------------------------------------------------------------
 
 
-def _cell_segments(model, frame, c: float, lo: float, hi: float) -> np.ndarray:
-    """Split [lo, hi] where c - g(x) crosses a breakpoint of the noise law."""
-    targets = set(frame.law.breakpoints.tolist())
-    targets.update((frame.t1, frame.t2))
-    cuts = {lo, hi}
-    for b in targets:
-        for x in model.location.crossings(c - b, lo, hi):
-            cuts.add(x)
-    # split at the sine extrema so g is monotone on each segment and every
-    # breakpoint crossing lands on a segment edge, including tangential ones
-    for x in (-0.5, 0.5):
-        if lo < x < hi:
-            cuts.add(x)
-    return np.array(sorted(cuts))
-
-
-@dataclass
-class _NodeBatch:
-    """Quadrature nodes for a piecewise-constant f against a model."""
-
-    x: np.ndarray       # nodes in [-1, 1]
-    w: np.ndarray       # weights integrating dP_X (sum to 1)
-    s: np.ndarray       # f(x) - g(x), in the noise frame
-
-
-def _nodes_for_pc(model, frame, f: PiecewiseConstant, order: int) -> _NodeBatch:
-    xs, ws, cs = [], [], []
-    for c, a, b in zip(f.values, f.breakpoints[:-1], f.breakpoints[1:]):
-        edges = _cell_segments(model, frame, float(c), float(a), float(b))
-        for s0, s1 in zip(edges[:-1], edges[1:]):
-            if s1 - s0 <= 1e-14:
-                continue
-            x, w = segment_nodes(float(s0), float(s1), order)
-            xs.append(x)
-            ws.append(w)
-            cs.append(np.full(x.shape, float(c)))
-    x = np.concatenate(xs)
-    w = np.concatenate(ws) / 2.0  # uniform P_X on [-1, 1]
-    c = np.concatenate(cs)
-    g = model.g(x.reshape(-1, 1))
-    return _NodeBatch(x=x, w=w, s=c - g)
-
-
-def _nodes_for_callable(model, f, panels: int, order: int) -> _NodeBatch:
-    if model.dim != 1:
+def _nodes(model, frame, fs, *, order: int, panels: int):
+    """Weights integrating dP_X and s = f(x) - g(x) at the quadrature nodes of
+    every f in fs; fs[i] owns the nodes bounds[i]:bounds[i + 1]."""
+    calls = [i for i, f in enumerate(fs) if not isinstance(f, PiecewiseConstant)]
+    if calls and model.dim != 1:
         raise NotImplementedError("quadrature checks are implemented for d=1")
-    x, w = panel_nodes(-1.0, 1.0, panels, order)
-    vals = np.asarray(f(x.reshape(-1, 1)), dtype=float).ravel()
-    if np.max(np.abs(vals)) > 1.0 + 1e-9:
-        raise ValueError("test function values must lie in [-1, 1]")
+    # one row per (function, cell); a callable's cells are `panels` equal
+    # panels of [-1, 1], with its values unknown (NaN) until it is called
+    edges = np.linspace(-1.0, 1.0, panels + 1)
+    cells = [(f.breakpoints, f.values) if isinstance(f, PiecewiseConstant)
+             else (edges, np.full(panels, np.nan)) for f in fs]
+    lo = np.concatenate([np.empty(0)] + [e[:-1] for e, _ in cells])[:, None]
+    hi = np.concatenate([np.empty(0)] + [e[1:] for e, _ in cells])[:, None]
+    c = np.concatenate([np.empty(0)] + [v for _, v in cells])[:, None]
+    # cut a cell where c - g(x) crosses a breakpoint of the noise law or a
+    # quantile endpoint, and at the sine extrema, so g is monotone on each
+    # segment and every crossing, tangential ones included, is a segment edge
+    targets = np.union1d(frame.law.breakpoints, (frame.t1, frame.t2))
+    crossings = model.location.crossings(c - targets, lo, hi)
+    extrema = np.where((lo < [-0.5, 0.5]) & ([-0.5, 0.5] < hi), [-0.5, 0.5], np.nan)
+    cuts = np.sort(np.hstack([lo, hi, extrema, *crossings.swapaxes(0, 1)]), axis=1)
+    keep = cuts[:, 1:] - cuts[:, :-1] > 1e-14   # NaN pads compare false
+    x, w = segment_nodes(cuts[:, :-1][keep], cuts[:, 1:][keep], order)
+    x = x.ravel()
+    f_x = np.repeat(np.broadcast_to(c, keep.shape)[keep], order)
+    segments = np.concatenate([[0], np.cumsum(np.sum(keep, axis=1))])
+    bounds = order * segments[np.cumsum([0] + [len(v) for _, v in cells])]
+    for i in calls:
+        at = slice(bounds[i], bounds[i + 1])
+        f_x[at] = np.asarray(fs[i](x[at].reshape(-1, 1)), dtype=float).ravel()
+        if np.max(np.abs(f_x[at])) > 1.0 + 1e-9:
+            raise ValueError("test function values must lie in [-1, 1]")
     g = model.g(x.reshape(-1, 1))
-    return _NodeBatch(x=x, w=w / 2.0, s=vals - g)
-
-
-def _batch(model, frame, f, *, order: int, panels: int) -> _NodeBatch:
-    if isinstance(f, PiecewiseConstant):
-        return _nodes_for_pc(model, frame, f, order)
-    return _nodes_for_callable(model, f, panels, order)
+    return w.ravel() / 2.0, f_x - g, bounds  # uniform P_X on [-1, 1]
 
 
 def _dist_values(frame, s: np.ndarray) -> np.ndarray:
@@ -167,6 +147,27 @@ def _variance_values(frame, s: np.ndarray, tau: float) -> np.ndarray:
     return c1**2 * below + mid + c2**2 * above
 
 
+def _evaluate(model, tau, fs, kinds, *, r: float = 1.0, order: int = 24, panels: int = 128):
+    """The functionals named in kinds ("excess", "dist", "variance") of every
+    f in fs, integrated over one node set; "dist" is the L_r norm.  Each f's
+    slice is summed alone, so its values do not depend on the rest of fs."""
+    frame = noise_frame(model.noise, tau_value(tau))
+    w, s, bounds = _nodes(model, frame, fs, order=order, panels=panels)
+
+    def integrals(values):
+        wv = w * values
+        return [np.sum(wv[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+
+    out = {}
+    if "excess" in kinds:
+        out["excess"] = np.array(integrals(excess_in_frame(frame, s)))
+    if "dist" in kinds:
+        out["dist"] = np.array([v ** (1.0 / r) for v in integrals(_dist_values(frame, s) ** r)])
+    if "variance" in kinds:
+        out["variance"] = np.array(integrals(_variance_values(frame, s, frame.tau)))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # public functionals
 # ---------------------------------------------------------------------------
@@ -174,28 +175,20 @@ def _variance_values(frame, s: np.ndarray, tau: float) -> np.ndarray:
 
 def excess_risk(model: ConditionalModel, tau, f, *, order: int = 24, panels: int = 128) -> float:
     """Excess pinball risk of f: quadrature over P_X of the inner excess."""
-    tv = tau_value(tau)
-    frame = noise_frame(model.noise, tv)
-    nb = _batch(model, frame, f, order=order, panels=panels)
-    return float(np.sum(nb.w * excess_in_frame(frame, nb.s)))
+    return float(_evaluate(model, tau, [f], ("excess",), order=order, panels=panels)["excess"][0])
 
 
 def dist_norm(model: ConditionalModel, tau, f, r: float, *, order: int = 24, panels: int = 128) -> float:
     """L_r(P_X) norm of x -> dist(f(x), quantile set at x)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    tv = tau_value(tau)
-    frame = noise_frame(model.noise, tv)
-    nb = _batch(model, frame, f, order=order, panels=panels)
-    return float(np.sum(nb.w * _dist_values(frame, nb.s) ** r) ** (1.0 / r))
+    return float(_evaluate(model, tau, [f], ("dist",), r=r, order=order, panels=panels)["dist"][0])
 
 
 def variance_term(model: ConditionalModel, tau, f, *, order: int = 24, panels: int = 128) -> float:
     """Second moment of L o f - L o f*, with f* the projected selection."""
-    tv = tau_value(tau)
-    frame = noise_frame(model.noise, tv)
-    nb = _batch(model, frame, f, order=order, panels=panels)
-    return float(np.sum(nb.w * _variance_values(frame, nb.s, tv)))
+    return float(
+        _evaluate(model, tau, [f], ("variance",), order=order, panels=panels)["variance"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -246,66 +239,41 @@ class CalibrationReport:
         return buf.getvalue()
 
 
-def _sweep(model, tau, p, fs, *, order, panels, want_variance: bool):
-    """Evaluate dist/excess (and variance) integrals for a family of fs."""
+def _check(kind, model, tau, p, fs, *, tol, order, panels) -> CalibrationReport:
+    """lhs, rhs = const * excess^exponent, and the params of one inequality."""
     tv = tau_value(tau)
-    frame = noise_frame(model.noise, tv)
     q = type_q_params(model, np.zeros(model.dim), tv).q
     gnorm = gamma_inv_norm(model, tv, p)
     r = q if math.isinf(p) else p * q / (p + 1.0)
-    excesses = np.empty(len(fs))
-    dists = np.empty(len(fs))
-    variances = np.empty(len(fs)) if want_variance else None
-    for i, f in enumerate(fs):
-        nb = _batch(model, frame, f, order=order, panels=panels)
-        excesses[i] = np.sum(nb.w * excess_in_frame(frame, nb.s))
-        dists[i] = np.sum(nb.w * _dist_values(frame, nb.s) ** r) ** (1.0 / r)
-        if want_variance:
-            variances[i] = np.sum(nb.w * _variance_values(frame, nb.s, tv))
-    return q, gnorm, r, excesses, dists, variances
+    theta = theta_exponent(p, q)
+    if kind == "self-calibration":
+        lhs_kind, exponent = "dist", 1.0 / q
+        const = 2.0 ** (1.0 - 1.0 / q) * q ** (1.0 / q) * gnorm ** (1.0 / q)
+    else:
+        lhs_kind, exponent = "variance", theta
+        const = 2.0 ** (2.0 - theta) * q**theta * gnorm**theta
+    vals = _evaluate(model, tv, fs, ("excess", lhs_kind), r=r, order=order, panels=panels)
+    return CalibrationReport(
+        kind=kind,
+        lhs=vals[lhs_kind],
+        rhs=const * np.maximum(vals["excess"], 0.0) ** exponent,
+        params={"tau": tv, "p": p, "q": q, "r": r, "theta": theta, "gamma_inv_norm": gnorm},
+        tol=tol,
+    )
 
 
 def check_self_calibration(
     model: ConditionalModel, tau, p, fs, *, tol: float = 1e-8, order: int = 24, panels: int = 128
 ) -> CalibrationReport:
     """Check the distance-vs-excess-risk inequality on each f in fs."""
-    q, gnorm, r, excesses, dists, _ = _sweep(
-        model, tau, p, fs, order=order, panels=panels, want_variance=False
-    )
-    const = 2.0 ** (1.0 - 1.0 / q) * q ** (1.0 / q) * gnorm ** (1.0 / q)
-    rhs = const * np.maximum(excesses, 0.0) ** (1.0 / q)
-    return CalibrationReport(
-        kind="self-calibration",
-        lhs=dists,
-        rhs=rhs,
-        params={
-            "tau": tau_value(tau), "p": p, "q": q, "r": r,
-            "theta": theta_exponent(p, q), "gamma_inv_norm": gnorm,
-        },
-        tol=tol,
-    )
+    return _check("self-calibration", model, tau, p, fs, tol=tol, order=order, panels=panels)
 
 
 def check_variance_bound(
     model: ConditionalModel, tau, p, fs, *, tol: float = 1e-8, order: int = 24, panels: int = 128
 ) -> CalibrationReport:
     """Check the variance bound with theta = min(2/q, p/(p+1)) on each f."""
-    q, gnorm, r, excesses, _, variances = _sweep(
-        model, tau, p, fs, order=order, panels=panels, want_variance=True
-    )
-    theta = theta_exponent(p, q)
-    const = 2.0 ** (2.0 - theta) * q**theta * gnorm**theta
-    rhs = const * np.maximum(excesses, 0.0) ** theta
-    return CalibrationReport(
-        kind="variance-bound",
-        lhs=variances,
-        rhs=rhs,
-        params={
-            "tau": tau_value(tau), "p": p, "q": q, "r": r,
-            "theta": theta, "gamma_inv_norm": gnorm,
-        },
-        tol=tol,
-    )
+    return _check("variance-bound", model, tau, p, fs, tol=tol, order=order, panels=panels)
 
 
 def theta_exponent(p, q) -> float:

@@ -92,13 +92,17 @@ def _location(section) -> SineLocation | ZeroLocation:
 
 def build_model(section) -> ConditionalModel:
     """The [model] keys map onto the family constructor's parameters by name;
-    a key left out takes the constructor's default.  dim stays 1, since the
-    quadrature checks and the reports are one-dimensional."""
+    a key left out takes the constructor's default and any other key is an
+    error.  dim stays 1, since the quadrature checks and the reports are
+    one-dimensional."""
     family = section.get("family", "bounded-density-mixture")
     if family not in _MODEL_FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")
     constructor = getattr(distributions, _MODEL_FAMILIES[family])
     keys = inspect.signature(constructor).parameters.keys() - {"location", "dim"}
+    unknown = sorted(set(section) - keys - {"family", "location", "amplitude"})
+    if unknown:
+        raise ConfigError(f"unknown [model] key(s) for {family}: {', '.join(unknown)}")
     return constructor(location=_location(section), **_keywords(section, keys))
 
 

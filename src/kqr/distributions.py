@@ -117,16 +117,15 @@ class SineLocation:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return self.amplitude * np.sin(np.pi * xs[:, 0])
 
-    def crossings(self, value: float, lo: float, hi: float) -> list[float]:
-        """Solutions of g(x) = value with x in [lo, hi] (first coordinate)."""
-        if self.amplitude == 0.0:
-            return []
-        s = value / self.amplitude
-        if abs(s) > 1.0:
-            return []
-        x0 = math.asin(s) / math.pi
-        candidates = (x0, 1.0 - x0, -1.0 - x0)
-        return [x for x in candidates if lo < x < hi]
+    def crossings(self, value, lo, hi) -> np.ndarray:
+        """Solutions of g(x) = value with lo < x < hi (first coordinate), for
+        arrays of value, lo and hi: shape (..., 3), NaN where none."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x0 = np.arcsin(np.asarray(value, dtype=float) / self.amplitude) / np.pi
+        x = np.stack([x0, 1.0 - x0, -1.0 - x0], axis=-1)
+        lo = np.asarray(lo, dtype=float)[..., None]
+        hi = np.asarray(hi, dtype=float)[..., None]
+        return np.where((lo < x) & (x < hi), x, np.nan)
 
     def to_dict(self):
         return {"kind": "sine", "amplitude": self.amplitude}
@@ -141,8 +140,9 @@ class ZeroLocation:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         return np.zeros(xs.shape[0])
 
-    def crossings(self, value, lo, hi):
-        return []
+    def crossings(self, value, lo, hi) -> np.ndarray:
+        """g is constant: no crossings, an empty last axis."""
+        return np.empty(np.broadcast(value, lo, hi).shape + (0,))
 
     def to_dict(self):
         return {"kind": "zero"}
@@ -186,7 +186,9 @@ class ConditionalModel:
 
     def to_config(self) -> dict[str, str]:
         """Flat key-value form, the inverse of the CLI's [model] section."""
-        out: dict[str, str] = {"family": self.family, "halfwidth": repr(self.halfwidth)}
+        out: dict[str, str] = {"family": self.family}
+        if self.family != "two-atom":  # two atoms take their half-width from the locations
+            out["halfwidth"] = repr(self.halfwidth)
         loc = self.location.to_dict()
         out["location"] = loc["kind"]
         if "amplitude" in loc:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibration import dist_norm, excess_risk, theta_exponent
+from .calibration import _evaluate, theta_exponent
 from .distributions import ConditionalModel, sample_joint
 from .kernels import gram, spectrum_decay
 from .losses import Dataset, pinball_loss, tau_value
@@ -235,6 +235,11 @@ class RateReport:
             "r_norm": self.r_norm,
             "mean_excess": {str(k): v for k, v in sorted(self.mean_excess.items())},
             "mean_dist": {str(k): v for k, v in sorted(self.mean_dist.items())},
+            # rows whose chosen fit did not converge are left out of the means
+            "excluded_rows": {
+                str(n): [row.rep for row in self.rows if row.n == n and not row.converged]
+                for n in sorted({row.n for row in self.rows})
+            },
         }
 
 
@@ -281,12 +286,14 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
             def f(xs, _m=model):
                 return np.atleast_1d(predict_clipped(_m, xs))
 
+            # excess risk and distance from one evaluation of f on the nodes
+            risks = _evaluate(config.model, tv, [f], ("excess", "dist"), r=r)
             rows.append(RateRow(
                 n=n,
                 rep=rep,
                 lambda_chosen=result.chosen_lambda,
-                excess_risk=excess_risk(config.model, tv, f),
-                dist_norm=dist_norm(config.model, tv, f, r),
+                excess_risk=float(risks["excess"][0]),
+                dist_norm=float(risks["dist"][0]),
                 converged=result.diagnostics[result.chosen_lambda].converged,
             ))
 

@@ -117,12 +117,15 @@ def kernel_spec_from_dict(d) -> GaussianKernel | PolynomialKernel | MaternKernel
     """Kernel from its to_dict() form or from a config section of strings.
 
     A missing family means Gaussian and a missing hyperparameter takes the
-    constructor's default; keys that are not hyperparameters are ignored.
+    constructor's default; a key that is not a hyperparameter is an error.
     """
     family = d.get("family", "gaussian")
     if family not in _FAMILIES:
         raise ValueError(f"unknown kernel family {family!r}")
     cls = _FAMILIES[family]
+    unknown = sorted(set(d) - {"family"} - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {family} kernel key(s): {', '.join(unknown)}")
     # every hyperparameter has a default, and the default's type parses the value
     return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls) if f.name in d})
 

@@ -21,22 +21,14 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def segment_nodes(lo: float, hi: float, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """GL nodes/weights on [lo, hi]; weights integrate dx over the segment."""
+def segment_nodes(lo, hi, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """GL nodes/weights on the segments [lo, hi], one row of `order` per
+    segment (lo, hi are arrays of segment ends, or scalars for one segment);
+    weights integrate dx over each segment."""
     xi, w = gauss_legendre(order)
-    half = 0.5 * (hi - lo)
+    lo = np.asarray(lo, dtype=float)[..., None]
+    half = 0.5 * (np.asarray(hi, dtype=float)[..., None] - lo)
     return lo + half * (xi + 1.0), half * w
-
-
-def panel_nodes(lo: float, hi: float, panels: int, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Composite GL rule: `panels` equal panels, `order` nodes each."""
-    edges = np.linspace(lo, hi, panels + 1)
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = segment_nodes(a, b, order)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
 
 
 def _stable_tag_int(tag) -> int:

@@ -172,3 +172,79 @@ def test_function_values_validated(unit_uniform):
     bad = lambda xs: np.full(len(xs), 1.5)
     with pytest.raises(ValueError):
         excess_risk(unit_uniform, 0.5, bad)
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+def test_batch_equals_single_function(tau, all_families):
+    """A function gets the same numbers alone as inside a batch of others."""
+    fs = random_test_functions(8, 12, seed=5)
+    for model in all_families:
+        sc = check_self_calibration(model, tau, 4.0, fs)
+        vb = check_variance_bound(model, tau, 4.0, fs)
+        for i, f in enumerate(fs):
+            assert sc.lhs[i] == dist_norm(model, tau, f, sc.params["r"])
+            assert vb.lhs[i] == variance_term(model, tau, f)
+
+
+def test_piecewise_constant_against_scipy_quad():
+    """Excess, L_1.5 distance and variance of a 4-cell f under the |y|
+    density with the sine location, against scipy quad without kqr: the
+    inner excess is the integral of F(u) - tau from the quantile to s, the
+    inner variance an adaptive integral over the noise."""
+    from kqr.distributions import polynomial_density
+
+    model = polynomial_density()  # density 4|y| on [-0.5, 0.5], g = 0.5 sin(pi x)
+    tau, r = 0.3, 1.5
+    t_star = -math.sqrt((0.5 - tau) / 2.0)  # the single tau-quantile of the noise
+
+    def loss(y, t):
+        return (tau - 1.0) * (y - t) if y < t else tau * (y - t)
+
+    def inner_excess(s):
+        cdf = lambda u: 0.5 + math.copysign(2.0 * min(abs(u), 0.5) ** 2, u)
+        return quad(lambda u: cdf(u) - tau, t_star, s, points=[0.0], limit=200,
+                    epsabs=1e-14)[0]
+
+    def inner_variance(s):
+        pts = sorted({0.0, min(max(s, -0.5), 0.5), t_star})
+        return quad(lambda y: (loss(y, s) - loss(y, t_star)) ** 2 * 4.0 * abs(y), -0.5, 0.5,
+                    points=pts, limit=200, epsabs=1e-14)[0]
+
+    inner = (inner_excess, lambda s: abs(s - t_star) ** r, inner_variance)
+    edges = np.array([-1.0, -0.4, 0.1, 0.6, 1.0])
+    values = np.array([0.35, -0.8, 0.05, -0.2])
+    totals = np.zeros(3)
+    for c, a, b in zip(values, edges[:-1], edges[1:]):
+        # split where s = c - g(x) meets t_star or a density breakpoint
+        pts = {a, b, -0.5, 0.5}
+        for level in (t_star, 0.0, -0.5, 0.5):
+            v = (c - level) / 0.5
+            if abs(v) <= 1.0:
+                x0 = math.asin(v) / math.pi
+                pts.update((x0, 1.0 - x0, -1.0 - x0))
+        pts = sorted(p for p in pts if a <= p <= b)
+        for u, v in zip(pts[:-1], pts[1:]):
+            for k, fn in enumerate(inner):
+                totals[k] += quad(lambda x: fn(c - 0.5 * math.sin(math.pi * x)), u, v,
+                                  limit=200, epsabs=1e-14)[0] / 2.0
+    f = PiecewiseConstant(edges, values)
+    assert excess_risk(model, tau, f) == pytest.approx(totals[0], abs=1e-9)
+    assert dist_norm(model, tau, f, r) == pytest.approx(totals[1] ** (1.0 / r), abs=1e-9)
+    assert variance_term(model, tau, f) == pytest.approx(totals[2], abs=1e-9)
+
+
+def test_piecewise_constant_without_crossings():
+    """With g = 0 there are no crossings: each cell is cut only at the sine
+    extrema, and the integrals reduce to weighted sums over the cells."""
+    model = uniform_noise(location=ZeroLocation())  # U(-0.5, 0.5), median 0
+    assert model.location.crossings(np.zeros((3, 4)), -1.0, 1.0).shape == (3, 4, 0)
+    edges = np.array([-1.0, -0.2, 0.3, 1.0])
+    values = np.array([0.3, -0.7, 0.1])
+    f = PiecewiseConstant(edges, values)
+    p_cell = np.diff(edges) / 2.0
+    # C(c) - C* = integral_0^c (F(u) - 1/2) du for F the uniform CDF
+    inner = np.where(np.abs(values) <= 0.5, values**2 / 2.0,
+                     0.125 + 0.5 * (np.abs(values) - 0.5))
+    assert excess_risk(model, 0.5, f) == pytest.approx(np.sum(p_cell * inner), abs=1e-12)
+    assert dist_norm(model, 0.5, f, 3.0) == pytest.approx(
+        np.sum(p_cell * np.abs(values) ** 3) ** (1.0 / 3.0), abs=1e-12)

@@ -246,3 +246,20 @@ def test_kernel_dim_mismatch_exits_2_before_eigendecomposition(tmp_path, monkeyp
     cfg = write_config(tmp_path, "[kernel]\nfamily = polynomial\ndim = 1\n\n"
                                  "[spectrum]\nn = 40\ndim = 2\n")
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_misspelled_kernel_key_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[kernel]\nbandwith = 0.1\n\n[spectrum]\nn = 40\n")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert "bandwith" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_misspelled_model_key_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, CHECK_CFG.replace(
+        "family = bounded-density-mixture", "family = polynomial-density\nexponant = 3"))
+    out = tmp_path / "o"
+    assert main(["check-calibration", "--config", cfg, "--out", str(out)]) == 2
+    assert "exponant" in capsys.readouterr().err
+    assert not out.exists()

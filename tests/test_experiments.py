@@ -8,6 +8,8 @@ from kqr.kernels import GaussianKernel
 from kqr.losses import Dataset, pinball_loss
 from kqr.experiments import (
     RateConfig,
+    RateReport,
+    RateRow,
     fit_loglog_slope,
     lambda_grid,
     learning_rate_experiment,
@@ -178,3 +180,26 @@ def test_rho_estimation_path():
     cfg = small_config(rho=None, sample_sizes=(64, 128), repetitions=1)
     rep = learning_rate_experiment(cfg)
     assert 0.0 < rep.rho_used < 1.0
+
+
+def test_summary_lists_excluded_rows():
+    """Rows whose chosen fit did not converge are named in the summary."""
+    rows = [RateRow(n, rep, 0.5, 0.1 * (rep + 1), 0.2, converged)
+            for n, rep, converged in [(32, 0, True), (32, 1, False), (64, 0, False),
+                                      (64, 1, False), (128, 0, True)]]
+    report = RateReport(rows=rows, r_norm=2.0, excess_slope=None, dist_slope=None,
+                        theoretical_gamma=0.5, theoretical_gamma_over_q=0.25, rho_used=0.1)
+    assert report.summary()["excluded_rows"] == {"32": [1], "64": [0, 1], "128": []}
+
+    rep = learning_rate_experiment(small_config(max_iter=3))
+    excluded = rep.summary()["excluded_rows"]
+    assert sorted(excluded) == ["32", "64"]
+    for n, reps in excluded.items():
+        kept = [row for row in rep.rows if row.n == int(n) and row.rep not in reps]
+        assert all(row.converged for row in kept)
+        assert all(not row.converged for row in rep.rows if row.n == int(n) and row.rep in reps)
+        if kept:
+            assert rep.mean_excess[int(n)] == np.mean([row.excess_risk for row in kept])
+        else:
+            assert int(n) not in rep.mean_excess
+    assert any(excluded.values())
