@@ -28,18 +28,16 @@ a function gets the same numbers alone as in a batch.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ConditionalModel, gamma_inv_norm, type_q_params
+from .distributions import ConditionalModel, type_q_params
 from .inner_risk import excess_in_frame, noise_frame
 from .losses import tau_value
-from .util import segment_nodes
+from .util import csv_text, fmt17, segment_nodes
 
 __all__ = [
     "PiecewiseConstant",
@@ -90,18 +88,21 @@ def random_test_functions(cells: int, count: int, seed: int) -> list[PiecewiseCo
 # quadrature: one node set for a list of test functions
 # ---------------------------------------------------------------------------
 
+_ORDER = 24     # Gauss-Legendre nodes per segment
+_PANELS = 128   # equal panels of [-1, 1] for a callable test function
 
-def _nodes(model, frame, fs, *, order: int, panels: int):
+
+def _nodes(model, frame, fs):
     """Weights integrating dP_X and s = f(x) - g(x) at the quadrature nodes of
     every f in fs; fs[i] owns the nodes bounds[i]:bounds[i + 1]."""
     calls = [i for i, f in enumerate(fs) if not isinstance(f, PiecewiseConstant)]
     if calls and model.dim != 1:
         raise NotImplementedError("quadrature checks are implemented for d=1")
-    # one row per (function, cell); a callable's cells are `panels` equal
+    # one row per (function, cell); a callable's cells are _PANELS equal
     # panels of [-1, 1], with its values unknown (NaN) until it is called
-    edges = np.linspace(-1.0, 1.0, panels + 1)
+    edges = np.linspace(-1.0, 1.0, _PANELS + 1)
     cells = [(f.breakpoints, f.values) if isinstance(f, PiecewiseConstant)
-             else (edges, np.full(panels, np.nan)) for f in fs]
+             else (edges, np.full(_PANELS, np.nan)) for f in fs]
     lo = np.concatenate([np.empty(0)] + [e[:-1] for e, _ in cells])[:, None]
     hi = np.concatenate([np.empty(0)] + [e[1:] for e, _ in cells])[:, None]
     c = np.concatenate([np.empty(0)] + [v for _, v in cells])[:, None]
@@ -113,11 +114,11 @@ def _nodes(model, frame, fs, *, order: int, panels: int):
     extrema = np.where((lo < [-0.5, 0.5]) & ([-0.5, 0.5] < hi), [-0.5, 0.5], np.nan)
     cuts = np.sort(np.hstack([lo, hi, extrema, *crossings.swapaxes(0, 1)]), axis=1)
     keep = cuts[:, 1:] - cuts[:, :-1] > 1e-14   # NaN pads compare false
-    x, w = segment_nodes(cuts[:, :-1][keep], cuts[:, 1:][keep], order)
+    x, w = segment_nodes(cuts[:, :-1][keep], cuts[:, 1:][keep], _ORDER)
     x = x.ravel()
-    f_x = np.repeat(np.broadcast_to(c, keep.shape)[keep], order)
+    f_x = np.repeat(np.broadcast_to(c, keep.shape)[keep], _ORDER)
     segments = np.concatenate([[0], np.cumsum(np.sum(keep, axis=1))])
-    bounds = order * segments[np.cumsum([0] + [len(v) for _, v in cells])]
+    bounds = _ORDER * segments[np.cumsum([0] + [len(v) for _, v in cells])]
     for i in calls:
         at = slice(bounds[i], bounds[i + 1])
         f_x[at] = np.asarray(fs[i](x[at].reshape(-1, 1)), dtype=float).ravel()
@@ -147,12 +148,12 @@ def _variance_values(frame, s: np.ndarray, tau: float) -> np.ndarray:
     return c1**2 * below + mid + c2**2 * above
 
 
-def _evaluate(model, tau, fs, kinds, *, r: float = 1.0, order: int = 24, panels: int = 128):
+def _evaluate(model, tau, fs, kinds, *, r: float = 1.0):
     """The functionals named in kinds ("excess", "dist", "variance") of every
     f in fs, integrated over one node set; "dist" is the L_r norm.  Each f's
     slice is summed alone, so its values do not depend on the rest of fs."""
     frame = noise_frame(model.noise, tau_value(tau))
-    w, s, bounds = _nodes(model, frame, fs, order=order, panels=panels)
+    w, s, bounds = _nodes(model, frame, fs)
 
     def integrals(values):
         wv = w * values
@@ -173,22 +174,21 @@ def _evaluate(model, tau, fs, kinds, *, r: float = 1.0, order: int = 24, panels:
 # ---------------------------------------------------------------------------
 
 
-def excess_risk(model: ConditionalModel, tau, f, *, order: int = 24, panels: int = 128) -> float:
+def excess_risk(model: ConditionalModel, tau, f) -> float:
     """Excess pinball risk of f: quadrature over P_X of the inner excess."""
-    return float(_evaluate(model, tau, [f], ("excess",), order=order, panels=panels)["excess"][0])
+    return float(_evaluate(model, tau, [f], ("excess",))["excess"][0])
 
 
-def dist_norm(model: ConditionalModel, tau, f, r: float, *, order: int = 24, panels: int = 128) -> float:
+def dist_norm(model: ConditionalModel, tau, f, r: float) -> float:
     """L_r(P_X) norm of x -> dist(f(x), quantile set at x)."""
     if r <= 0:
         raise ValueError("r must be positive")
-    return float(_evaluate(model, tau, [f], ("dist",), r=r, order=order, panels=panels)["dist"][0])
+    return float(_evaluate(model, tau, [f], ("dist",), r=r)["dist"][0])
 
 
-def variance_term(model: ConditionalModel, tau, f, *, order: int = 24, panels: int = 128) -> float:
+def variance_term(model: ConditionalModel, tau, f) -> float:
     """Second moment of L o f - L o f*, with f* the projected selection."""
-    return float(
-        _evaluate(model, tau, [f], ("variance",), order=order, panels=panels)["variance"][0])
+    return float(_evaluate(model, tau, [f], ("variance",))["variance"][0])
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +203,8 @@ class CalibrationReport:
     kind: str                      # "self-calibration" or "variance-bound"
     lhs: np.ndarray
     rhs: np.ndarray
-    params: dict = field(default_factory=dict)
-    tol: float = 1e-8
+    params: dict
+    tol: float
 
     @property
     def slack(self) -> np.ndarray:
@@ -229,21 +229,19 @@ class CalibrationReport:
         return json.dumps(payload, indent=2)
 
     def to_csv(self) -> str:
-        from .util import fmt17
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "lhs", "rhs", "slack"])
-        for i, (a, b) in enumerate(zip(self.lhs, self.rhs)):
-            writer.writerow([i, fmt17(a), fmt17(b), fmt17(b - a)])
-        return buf.getvalue()
+        return csv_text(["index", "lhs", "rhs", "slack"],
+                        ([i, fmt17(a), fmt17(b), fmt17(b - a)]
+                         for i, (a, b) in enumerate(zip(self.lhs, self.rhs))))
 
 
-def _check(kind, model, tau, p, fs, *, tol, order, panels) -> CalibrationReport:
+def _check(kind, model, tau, p, fs, *, tol) -> CalibrationReport:
     """lhs, rhs = const * excess^exponent, and the params of one inequality."""
     tv = tau_value(tau)
-    q = type_q_params(model, np.zeros(model.dim), tv).q
-    gnorm = gamma_inv_norm(model, tv, p)
+    cert = type_q_params(model, np.zeros(model.dim), tv)
+    if not p > 0:
+        raise ValueError("p must be positive or inf")
+    # gamma is the same at every x, so its L_p(P_X) norm is 1/gamma
+    q, gnorm = cert.q, 1.0 / cert.gamma
     r = q if math.isinf(p) else p * q / (p + 1.0)
     theta = theta_exponent(p, q)
     if kind == "self-calibration":
@@ -252,7 +250,7 @@ def _check(kind, model, tau, p, fs, *, tol, order, panels) -> CalibrationReport:
     else:
         lhs_kind, exponent = "variance", theta
         const = 2.0 ** (2.0 - theta) * q**theta * gnorm**theta
-    vals = _evaluate(model, tv, fs, ("excess", lhs_kind), r=r, order=order, panels=panels)
+    vals = _evaluate(model, tv, fs, ("excess", lhs_kind), r=r)
     return CalibrationReport(
         kind=kind,
         lhs=vals[lhs_kind],
@@ -263,17 +261,17 @@ def _check(kind, model, tau, p, fs, *, tol, order, panels) -> CalibrationReport:
 
 
 def check_self_calibration(
-    model: ConditionalModel, tau, p, fs, *, tol: float = 1e-8, order: int = 24, panels: int = 128
+    model: ConditionalModel, tau, p, fs, *, tol: float = 1e-8
 ) -> CalibrationReport:
     """Check the distance-vs-excess-risk inequality on each f in fs."""
-    return _check("self-calibration", model, tau, p, fs, tol=tol, order=order, panels=panels)
+    return _check("self-calibration", model, tau, p, fs, tol=tol)
 
 
 def check_variance_bound(
-    model: ConditionalModel, tau, p, fs, *, tol: float = 1e-8, order: int = 24, panels: int = 128
+    model: ConditionalModel, tau, p, fs, *, tol: float = 1e-8
 ) -> CalibrationReport:
     """Check the variance bound with theta = min(2/q, p/(p+1)) on each f."""
-    return _check("variance-bound", model, tau, p, fs, tol=tol, order=order, panels=panels)
+    return _check("variance-bound", model, tau, p, fs, tol=tol)
 
 
 def theta_exponent(p, q) -> float:

@@ -16,15 +16,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import inspect
-import io
 import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -44,11 +42,9 @@ from .experiments import (
     tv_svm,
 )
 from .inner_risk import excess_inner_risk, inner_risk, min_inner_risk
-from .kernels import fit_power_law, gram_spectrum, kernel_spec_from_dict
+from .kernels import _FAMILIES as _KERNELS, fit_power_law, gram_spectrum, kernel_spec_from_dict
 from .solver import SvmModel, model_to_json, train
-from .util import derive_rng, derive_seed_sequence, fmt17
-
-SECTIONS = ("run", "model", "kernel", "check", "data", "svm", "rates", "spectrum")
+from .util import csv_text, derive_rng, derive_seed_sequence, fmt17
 
 
 class ConfigError(Exception):
@@ -60,15 +56,15 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _numbers(text: str, kind=float) -> list:
+def _numbers(text: str, kind=float) -> tuple:
     """A space- or comma-separated list; float() reads inf and infinity too."""
-    return [kind(token) for token in text.replace(",", " ").split()]
+    return tuple(kind(token) for token in text.replace(",", " ").split())
 
 
-def _keywords(section, keys) -> dict:
-    """The given keys present in a [model] section, parsed for the library."""
-    return {key: tuple(_numbers(section[key])) if key in ("locations", "weights")
-            else section.getfloat(key) for key in keys if key in section}
+def _given(section, **parsers) -> dict:
+    """The named keys the section has, parsed.  A key left out is not passed
+    on, so the library's signature is the one place its default lives."""
+    return {key: parse(section[key]) for key, parse in parsers.items() if key in section}
 
 
 # family -> constructor in kqr.distributions, looked up at call time
@@ -81,12 +77,17 @@ _MODEL_FAMILIES = {
 }
 
 
+def _constructor_keys(name: str) -> set:
+    """The [model] keys a family constructor takes by name (not dim)."""
+    return set(inspect.signature(getattr(distributions, name)).parameters) - {"location", "dim"}
+
+
 def _location(section) -> SineLocation | ZeroLocation:
     kind = section.get("location", "sine")
     if kind == "zero":
         return ZeroLocation()
     if kind == "sine":
-        return SineLocation(**_keywords(section, ("amplitude",)))
+        return SineLocation(**_given(section, amplitude=float))
     raise ConfigError(f"unknown location {kind!r}")
 
 
@@ -99,17 +100,36 @@ def build_model(section) -> ConditionalModel:
     if family not in _MODEL_FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")
     constructor = getattr(distributions, _MODEL_FAMILIES[family])
-    keys = inspect.signature(constructor).parameters.keys() - {"location", "dim"}
+    keys = _constructor_keys(_MODEL_FAMILIES[family])
     unknown = sorted(set(section) - keys - {"family", "location", "amplitude"})
     if unknown:
         raise ConfigError(f"unknown [model] key(s) for {family}: {', '.join(unknown)}")
-    return constructor(location=_location(section), **_keywords(section, keys))
+    # every parameter is a float, apart from two-atom's lists
+    parsers = {**dict.fromkeys(keys, float), "locations": _numbers, "weights": _numbers}
+    return constructor(location=_location(section), **_given(section, **parsers))
+
+
+# section -> every key some command reads from it; build_model and
+# kernel_spec_from_dict narrow [model] and [kernel] to the chosen family
+SECTIONS = {
+    "run": {"seed"},
+    "model": {"family", "location", "amplitude"}.union(
+        *(_constructor_keys(name) for name in _MODEL_FAMILIES.values())),
+    "kernel": {"family"} | {f.name for cls in _KERNELS.values() for f in fields(cls)},
+    "check": {"taus", "ps", "cells", "count", "tolerance", "xs", "t_points"},
+    "data": {"n"},
+    "svm": {"lambda", "tau", "tol", "max_iter"},
+    "rates": {"tau", "sample_sizes", "repetitions", "beta", "p", "q", "rho", "grid", "tol",
+              "max_iter"},
+    "spectrum": {"n", "dim", "floor"},
+}
 
 
 def load_config(path: str) -> configparser.ConfigParser:
-    """Parse the INI file; every section the commands read is present,
-    empty when the file leaves it out."""
+    """Parse the INI file: every section of SECTIONS is present, empty when
+    the file leaves it out, and any other section or key is an error."""
     parser = configparser.ConfigParser()
+    parser.read_dict(dict.fromkeys(SECTIONS, {}))
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
@@ -117,9 +137,12 @@ def load_config(path: str) -> configparser.ConfigParser:
         parser.read_string(p.read_text(), source=path)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
-    for name in SECTIONS:
-        if not parser.has_section(name):
-            parser.add_section(name)
+    for name in parser.sections():
+        if name not in SECTIONS:
+            raise ConfigError(f"unknown section [{name}]")
+        unknown = sorted(set(parser[name]) - SECTIONS[name])
+        if unknown:
+            raise ConfigError(f"unknown [{name}] key(s): {', '.join(unknown)}")
     return parser
 
 
@@ -157,15 +180,6 @@ def _manifest(command: str, config_path: str, seed: int) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    return buf.getvalue()
-
-
 # ---------------------------------------------------------------------------
 # commands: (cfg, seed, strict_grid) -> Outcome
 # ---------------------------------------------------------------------------
@@ -198,7 +212,7 @@ def _cmd_check_inner_risk(cfg, seed: int, strict_grid: bool) -> Outcome:
                 rows.append([xi, fmt17(tau), fmt17(t), fmt17(a), fmt17(b), fmt17(err)])
     passed = bool(worst <= tol)
     return Outcome(
-        _csv_text(["x_index", "tau", "t", "closed_form", "direct", "abs_err"], rows),
+        csv_text(["x_index", "tau", "t", "closed_form", "direct", "abs_err"], rows),
         {"max_abs_err": worst, "tolerance": tol, "pass": passed},
         f"ok: max gap {worst:g} within {tol:g}" if passed
         else f"FAIL: max closed-form/direct gap {worst:g} exceeds {tol:g}",
@@ -211,34 +225,32 @@ def _check_inequality(cfg, seed: int, checker) -> Outcome:
     model = build_model(cfg["model"])
     taus = _numbers(check.get("taus", "0.1 0.5 0.9"))
     ps = _numbers(check.get("ps", "1 4 inf"))
+    if not (taus and ps):
+        raise ConfigError("[check] taus and ps need at least one value each")
     cells = check.getint("cells", 8)
     count = check.getint("count", 1000)
-    tol = check.getfloat("tolerance", 1e-8)
+    options = {"tol": check.getfloat("tolerance")} if "tolerance" in check else {}
     rows = []
-    min_slack = math.inf
-    failed_at = None
+    min_slack, where = math.inf, None
     for tau in taus:
         for p in ps:
             fs = random_test_functions(cells, count, _seed(seed, "test-functions", tau, p))
-            report = checker(model, tau, p, fs, tol=tol)
+            report = checker(model, tau, p, fs, **options)
             for i, (lhs, rhs) in enumerate(zip(report.lhs, report.rhs)):
                 slack = rhs - lhs
                 if slack < min_slack:
-                    min_slack = slack
-                    if slack < -tol:
-                        failed_at = (tau, p, i)
+                    min_slack, where = slack, (tau, p, i)
                 rows.append([fmt17(tau), "inf" if math.isinf(p) else fmt17(p),
                              i, fmt17(lhs), fmt17(rhs), fmt17(slack)])
-    if failed_at is None:
-        message = f"ok: {len(rows)} rows, min slack {min_slack:g}"
-    else:
-        tau, p, i = failed_at
-        message = f"FAIL: slack {min_slack:g} below -{tol:g} at tau={tau} p={p} f_index={i}"
+    tol = report.tol
+    passed = not min_slack < -tol
     return Outcome(
-        _csv_text(["tau", "p", "f_index", "lhs", "rhs", "slack"], rows),
-        {"min_slack": min_slack, "tolerance": tol, "pass": failed_at is None, "rows": len(rows)},
-        message,
-        failed_at is None,
+        csv_text(["tau", "p", "f_index", "lhs", "rhs", "slack"], rows),
+        {"min_slack": min_slack, "tolerance": tol, "pass": passed, "rows": len(rows)},
+        f"ok: {len(rows)} rows, min slack {min_slack:g}" if passed
+        else "FAIL: slack {:g} below -{:g} at tau={} p={} f_index={}".format(
+            min_slack, tol, *where),
+        passed,
     )
 
 
@@ -254,14 +266,14 @@ def _cmd_train(cfg, seed: int, strict_grid: bool) -> Outcome:
     spec, data = _sample(cfg, seed, "train-data")
     lam = svm.getfloat("lambda", 0.01)
     tau = svm.getfloat("tau", 0.5)
-    trained, diag = train(data, spec, lam, tau, svm.getfloat("tol", 1e-6),
-                          svm.getint("max_iter", 1000), seed=seed)
+    trained, diag = train(data, spec, lam, tau, seed=seed,
+                          **_given(svm, tol=float, max_iter=int))
     preds = trained.kernel.pairwise(data.x, trained.support_x) @ trained.coef
     rows = [[i, fmt17(data.x[i, 0]), fmt17(data.y[i]), fmt17(preds[i]),
              fmt17(np.clip(preds[i], -1, 1)), fmt17(trained.coef[i])]
             for i in range(len(data))]
     return Outcome(
-        _csv_text(["i", "x", "y", "prediction", "clipped", "alpha"], rows),
+        csv_text(["i", "x", "y", "prediction", "clipped", "alpha"], rows),
         {
             "n": len(data), "lambda": lam, "tau": tau,
             "objective": diag.final_objective,
@@ -284,7 +296,7 @@ def _cmd_tv_svm(cfg, seed: int, strict_grid: bool) -> Outcome:
     rows = [[fmt17(lam), fmt17(risk), int(result.diagnostics[lam].converged)]
             for lam, risk in sorted(result.validation_risks.items(), reverse=True)]
     return Outcome(
-        _csv_text(["lambda", "validation_risk", "converged"], rows),
+        csv_text(["lambda", "validation_risk", "converged"], rows),
         {
             "chosen_lambda": result.chosen_lambda,
             "grid_mode": grid.mode,
@@ -298,21 +310,18 @@ def _cmd_tv_svm(cfg, seed: int, strict_grid: bool) -> Outcome:
 
 def _cmd_rates(cfg, seed: int, strict_grid: bool) -> Outcome:
     rates = cfg["rates"]
-    rho = rates.get("rho", "0.1")
+    options = _given(rates, beta=float, p=float, q=float, tol=float, max_iter=int,
+                     rho=lambda text: None if text.strip() == "estimate" else float(text))
+    if strict_grid or "grid" in rates:
+        options["grid_mode"] = "strict" if strict_grid else rates["grid"]
     report = learning_rate_experiment(RateConfig(
         model=build_model(cfg["model"]),
         kernel=kernel_spec_from_dict(cfg["kernel"]),
         tau=rates.getfloat("tau", 0.5),
-        sample_sizes=tuple(_numbers(rates.get("sample_sizes", "128 256 512"), int)),
+        sample_sizes=_numbers(rates.get("sample_sizes", "128 256 512"), int),
         repetitions=rates.getint("repetitions", 5),
         seed=seed,
-        beta=rates.getfloat("beta", 1.0),
-        p=_numbers(rates.get("p", "inf"))[0],
-        q=rates.getfloat("q", 2.0),
-        rho=None if rho.strip() == "estimate" else float(rho),
-        grid_mode="strict" if strict_grid else rates.get("grid", "geometric"),
-        tol=rates.getfloat("tol", 1e-4),
-        max_iter=rates.getint("max_iter", 300),
+        **options,
     ))
     return Outcome(
         report.to_csv(),
@@ -328,9 +337,9 @@ def _cmd_spectrum(cfg, seed: int, strict_grid: bool) -> Outcome:
     rng = derive_rng(seed, "spectrum-points")
     xs = rng.uniform(-1.0, 1.0, size=(section.getint("n", 500), section.getint("dim", 1)))
     evals = gram_spectrum(spec, xs)
-    est = fit_power_law(evals, floor=section.getfloat("floor", 1e-10))
+    est = fit_power_law(evals, **_given(section, floor=float))
     return Outcome(
-        _csv_text(["i", "eigenvalue"], [[i + 1, fmt17(v)] for i, v in enumerate(evals)]),
+        csv_text(["i", "eigenvalue"], [[i + 1, fmt17(v)] for i, v in enumerate(evals)]),
         {
             "rho_hat": est.rho_hat,
             "a_hat": est.a_hat,

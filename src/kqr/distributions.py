@@ -64,8 +64,8 @@ class QuantileInterval:
         if self.t_min > self.t_max:
             raise ValueError("t_min must not exceed t_max")
 
-    def contains(self, t, tol: float = 0.0):
-        return (np.asarray(t) >= self.t_min - tol) & (np.asarray(t) <= self.t_max + tol)
+    def contains(self, t):
+        return (np.asarray(t) >= self.t_min) & (np.asarray(t) <= self.t_max)
 
     def dist(self, t):
         t = np.asarray(t, dtype=float)

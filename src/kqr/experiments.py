@@ -14,8 +14,6 @@ fitted log-log slope with the theoretical exponent
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +24,7 @@ from .distributions import ConditionalModel, sample_joint
 from .kernels import gram, spectrum_decay
 from .losses import Dataset, pinball_loss, tau_value
 from .solver import SolveDiagnostics, SvmModel, check_psd, predict_clipped, train
-from .util import derive_rng, derive_seed_sequence, fmt17
+from .util import csv_text, derive_rng, derive_seed_sequence, fmt17
 
 __all__ = [
     "LambdaGrid",
@@ -91,7 +89,6 @@ def tv_svm(
     tol: float = 1e-6,
     *,
     max_iter: int = 1000,
-    band: float | None = None,
     seed: int = 0,
 ) -> TvSvmResult:
     """Training-validation SVM over the given grid.
@@ -100,13 +97,12 @@ def tv_svm(
     descending grid with warm starts (the dual box rescales exactly by the
     ratio of consecutive lambdas), validated on the rest with clipped
     predictions, and the smallest lambda among the minimizers is returned.
+    The KKT tie band around f(x_i) = y_i is max(1e-10, tol).
     """
     n = len(data)
     if n < 3:
         raise ValueError("training-validation split needs n >= 3")
     tv = tau_value(tau)
-    if band is None:
-        band = max(1e-10, tol)
     m = n // 2 + 1
     d1, d2 = data.subset(0, m), data.subset(m, n)
     g1 = gram(spec, d1.x)
@@ -123,7 +119,7 @@ def tv_svm(
             warm = warm * (prev_lam / lam)
         model, diag = train(
             d1, spec, lam, tv, tol, max_iter,
-            band=band, warm_start=warm, gram_matrix=g1, psd_check=False, seed=seed,
+            band=max(1e-10, tol), warm_start=warm, gram_matrix=g1, psd_check=False, seed=seed,
         )
         warm = model.coef.copy()
         prev_lam = lam
@@ -215,15 +211,11 @@ class RateReport:
     mean_dist: dict[int, float] = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "rep", "lambda_chosen", "excess_risk", "dist_norm", "converged"])
-        for row in self.rows:
-            writer.writerow([
-                row.n, row.rep, fmt17(row.lambda_chosen),
-                fmt17(row.excess_risk), fmt17(row.dist_norm), int(row.converged),
-            ])
-        return buf.getvalue()
+        return csv_text(
+            ["n", "rep", "lambda_chosen", "excess_risk", "dist_norm", "converged"],
+            ([row.n, row.rep, fmt17(row.lambda_chosen),
+              fmt17(row.excess_risk), fmt17(row.dist_norm), int(row.converged)]
+             for row in self.rows))
 
     def summary(self) -> dict:
         return {
@@ -281,10 +273,9 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
                 data, config.kernel, grid, tv,
                 tol=config.tol, max_iter=config.max_iter, seed=config.seed,
             )
-            model = result.model
 
-            def f(xs, _m=model):
-                return np.atleast_1d(predict_clipped(_m, xs))
+            def f(xs):
+                return np.atleast_1d(predict_clipped(result.model, xs))
 
             # excess risk and distance from one evaluation of f on the nodes
             risks = _evaluate(config.model, tv, [f], ("excess", "dist"), r=r)

@@ -155,14 +155,12 @@ class DecayEstimate:
     n_used: int
 
 
-def fit_power_law(eigenvalues, *, floor: float = 1e-10, min_count: int = 5) -> DecayEstimate:
-    """Least-squares fit of log lambda_i vs log i over eigenvalues above floor."""
+def fit_power_law(eigenvalues, *, floor: float = 1e-10) -> DecayEstimate:
+    """Least-squares fit of log lambda_i vs log i over the (5 or more) eigenvalues above floor."""
     lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     usable = lam[lam > floor]
-    if len(usable) < min_count:
-        raise ValueError(
-            f"fewer than {min_count} usable eigenvalues above floor {floor:g}"
-        )
+    if len(usable) < 5:
+        raise ValueError(f"fewer than 5 usable eigenvalues above floor {floor:g}")
     idx = np.arange(1, len(usable) + 1, dtype=float)
     li, ll = np.log(idx), np.log(usable)
     slope, intercept = np.polyfit(li, ll, 1)
@@ -188,6 +186,6 @@ def gram_spectrum(spec, xs) -> np.ndarray:
     return np.sort(np.linalg.eigvalsh(gram(spec, xs) / xs.shape[0]))[::-1]
 
 
-def spectrum_decay(spec, xs, *, floor: float = 1e-10) -> DecayEstimate:
+def spectrum_decay(spec, xs) -> DecayEstimate:
     """Decay estimate from the eigenvalues of Gram/n at the given points."""
-    return fit_power_law(gram_spectrum(spec, xs), floor=floor)
+    return fit_power_law(gram_spectrum(spec, xs))

@@ -121,10 +121,10 @@ def _kkt_vector(alpha, fvals, y, lo, up, band):
     return np.maximum(v, box)
 
 
-def kkt_residual(model: SvmModel, data: Dataset, band: float = _DEFAULT_BAND) -> float:
+def kkt_residual(model: SvmModel, data: Dataset) -> float:
     """Largest KKT violation of the model's coefficients on its training data.
 
-    `band` is the tie tolerance around f(x_i) = y_i; inside it the only
+    The tie tolerance around f(x_i) = y_i is 1e-10; inside it the only
     requirement on alpha_i is box membership.
     """
     n = len(data)
@@ -132,7 +132,7 @@ def kkt_residual(model: SvmModel, data: Dataset, band: float = _DEFAULT_BAND) ->
         raise ValueError("kkt_residual expects the model's own training data")
     lo, up = _bounds(model.tau, model.lam, n)
     fvals = np.atleast_1d(predict(model, data.x))
-    return float(np.max(_kkt_vector(model.coef, fvals, data.y, lo, up, band)))
+    return float(np.max(_kkt_vector(model.coef, fvals, data.y, lo, up, _DEFAULT_BAND)))
 
 
 def _dual_value(alpha, fvals, y) -> float:
@@ -225,8 +225,7 @@ def _coordinate_descent(g, y, lo, up, alpha0, tol, max_iter, band, seed):
     fvals = g @ alpha
     rng = np.random.default_rng(seed)
     history = []
-    best_kkt = np.inf
-    best_alpha = alpha.copy()
+    kkt = np.inf
     epochs = 0
     converged = False
     for epoch in range(max_iter):
@@ -251,9 +250,6 @@ def _coordinate_descent(g, y, lo, up, alpha0, tol, max_iter, band, seed):
             _pair_sweep(g, y, alpha, fvals, lo, up, band)
             fvals = g @ alpha
             kkt = float(np.max(_kkt_vector(alpha, fvals, y, lo, up, band)))
-        if kkt < best_kkt:
-            best_kkt = kkt
-            best_alpha = alpha.copy()
         if epoch % 5 == 4 and kkt > tol:
             cand = _polish(g, y, alpha, lo, up)
             if cand is not None:
@@ -265,14 +261,11 @@ def _coordinate_descent(g, y, lo, up, alpha0, tol, max_iter, band, seed):
                 # least-squares roundoff without breaking per-epoch descent
                 if cand_kkt < kkt and dual_cand <= dual_now + 1e-12 * max(1.0, abs(dual_now)):
                     alpha, fvals, kkt = cand, cand_f, cand_kkt
-                    if kkt < best_kkt:
-                        best_kkt = kkt
-                        best_alpha = alpha.copy()
         history.append(_dual_value(alpha, fvals, y))
         if kkt <= tol:
             converged = True
             break
-    return best_alpha, best_kkt, epochs, converged, tuple(history)
+    return alpha, kkt, epochs, converged, tuple(history)
 
 
 def check_psd(g: np.ndarray) -> None:
@@ -298,7 +291,7 @@ def train(
 ) -> tuple[SvmModel, SolveDiagnostics]:
     """Solve the regularized pinball-risk problem by dual coordinate descent.
 
-    Returns the best iterate with converged=False if max_iter epochs do not
+    Returns the last iterate with converged=False if max_iter epochs do not
     reach the requested KKT tolerance.
     """
     if lam <= 0:

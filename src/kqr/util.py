@@ -1,8 +1,10 @@
-"""Shared helpers: Gauss-Legendre rules, seed derivation, float formatting."""
+"""Shared helpers: Gauss-Legendre rules, seed derivation, float and CSV formatting."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 from functools import lru_cache
 
 import numpy as np
@@ -53,3 +55,10 @@ def derive_rng(seed: int, *tags) -> np.random.Generator:
 def fmt17(x) -> str:
     """Decimal float with 17 significant digits (round-trips doubles)."""
     return format(float(x), ".17g")
+
+
+def csv_text(header, rows) -> str:
+    """A CSV body: the header, then one line per row, each ended by a bare newline."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()

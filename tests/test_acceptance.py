@@ -2,7 +2,9 @@
 
 Each test prints a single PASS/FAIL line (visible with pytest -v -s).  The
 learning-rate experiment is shared between the two slope criteria through a
-module-scoped fixture because it dominates the runtime.
+module-scoped fixture because it dominates the runtime.  The tests that use
+the two module-scoped fixtures are marked slow, so `pytest -m "not slow"`
+leaves them out.
 """
 
 import math
@@ -129,6 +131,7 @@ def calibration_sweeps():
     return results, time.time() - start
 
 
+@pytest.mark.slow
 def test_criterion_04_self_calibration_inequality(calibration_sweeps):
     results, elapsed = calibration_sweeps
     worst = min(float(np.min(sc.slack)) for _, _, _, sc, _ in results)
@@ -139,6 +142,7 @@ def test_criterion_04_self_calibration_inequality(calibration_sweeps):
                    f"{total} checks, min slack {worst:.2e}, {elapsed:.0f}s for both sweeps")
 
 
+@pytest.mark.slow
 def test_criterion_05_variance_bound(calibration_sweeps):
     results, _ = calibration_sweeps
     worst = min(float(np.min(vb.slack)) for _, _, _, _, vb in results)
@@ -212,6 +216,7 @@ def rate_report():
     return report, time.time() - start
 
 
+@pytest.mark.slow
 def test_criterion_08_excess_risk_rate(rate_report):
     report, elapsed = rate_report
     means = [report.mean_excess[n] for n in sorted(report.mean_excess)]
@@ -227,12 +232,14 @@ def test_criterion_08_excess_risk_rate(rate_report):
                    f"{elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_09_distance_norm_rate(rate_report):
     report, _ = rate_report
     ok = report.dist_slope is not None and report.dist_slope <= -0.2
     assert _report("9 (distance-norm rate)", ok, f"slope {report.dist_slope:.3f}")
 
 
+@pytest.mark.slow
 def test_rate_monotone_trend(rate_report):
     """Spearman correlation between n and mean excess risk on the default
     experiment (supporting invariant, not a numbered criterion)."""

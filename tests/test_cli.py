@@ -226,6 +226,26 @@ def test_missing_kernel_section_takes_library_defaults(tmp_path):
     assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
 
 
+def test_rates_defaults_come_from_rate_config(tmp_path):
+    from dataclasses import MISSING, fields
+
+    from kqr.experiments import RateConfig
+
+    # the config key of each RateConfig option; rho = None reads "estimate"
+    keys = {"grid_mode": "grid"}
+    spelled = "\n".join(
+        f"{keys.get(f.name, f.name)} = {'estimate' if f.default is None else f.default}"
+        for f in fields(RateConfig) if f.default is not MISSING)
+    rates = "[rates]\nsample_sizes = 32\nrepetitions = 1\n"
+    bare = write_config(tmp_path, rates, "bare.ini")
+    full = write_config(tmp_path, rates + spelled + "\n", "full.ini")
+    out1, out2 = tmp_path / "bare", tmp_path / "full"
+    assert main(["rates", "--config", bare, "--out", str(out1)]) == 0
+    assert main(["rates", "--config", full, "--out", str(out2)]) == 0
+    assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+    assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+
 def _no_eigendecomposition(monkeypatch):
     import numpy as np
 
@@ -249,11 +269,19 @@ def test_kernel_dim_mismatch_exits_2_before_eigendecomposition(tmp_path, monkeyp
 
 
 def test_misspelled_kernel_key_exits_2(tmp_path, capsys):
-    cfg = write_config(tmp_path, "[kernel]\nbandwith = 0.1\n\n[spectrum]\nn = 40\n")
-    out = tmp_path / "o"
-    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
-    assert "bandwith" in capsys.readouterr().err
-    assert not out.exists()
+    cases = [
+        ("spectrum", "[kernel]\nbandwith = 0.1\n\n[spectrum]\nn = 40\n", "bandwith"),
+        ("spectrum", "[kernal]\nbandwidth = 0.1\n\n[spectrum]\nn = 40\n", "kernal"),
+        ("train", TRAIN_CFG.replace("lambda = 0.05", "lamda = 0.5"), "lamda"),
+        ("tv-svm", TRAIN_CFG + "max_iters = 3\n", "max_iters"),
+        ("rates", RATES_CFG.replace("repetitions = 1", "repetition = 1"), "repetition"),
+    ]
+    for i, (command, text, misspelled) in enumerate(cases):
+        cfg = write_config(tmp_path, text, f"case{i}.ini")
+        out = tmp_path / f"o{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2, misspelled
+        assert misspelled in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_misspelled_model_key_exits_2(tmp_path, capsys):
