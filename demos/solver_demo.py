@@ -25,7 +25,8 @@ spec = GaussianKernel(0.5)
 
 fitted, diag = train(data, spec, lam, tau, tol=1e-6, max_iter=400)
 print(f"n = {len(data)}, tau = {tau}, lambda = {lam}")
-print(f"converged        {diag.converged} after {diag.iterations} epochs")
+print(f"converged        {diag.converged} after {diag.iterations} iterations, "
+      f"duality gap {diag.duality_gap:.1e}")
 print(f"kkt residual     {diag.kkt_residual:.2e}")
 print(f"objective        {diag.final_objective:.6f}")
 

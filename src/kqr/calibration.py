@@ -236,6 +236,8 @@ class CalibrationReport:
 
 def _check(kind, model, tau, p, fs, *, tol) -> CalibrationReport:
     """lhs, rhs = const * excess^exponent, and the params of one inequality."""
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
     tv = tau_value(tau)
     cert = type_q_params(model, np.zeros(model.dim), tv)
     if not p > 0:

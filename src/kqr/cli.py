@@ -196,6 +196,8 @@ def _cmd_check_inner_risk(cfg, seed: int, strict_grid: bool) -> Outcome:
     n_x = check.getint("xs", 20)
     n_t = check.getint("t_points", 50)
     tol = check.getfloat("tolerance", 1e-8)
+    if not tol >= 0:
+        raise ConfigError("[check] tolerance must be >= 0")
     rng = derive_rng(seed, "inner-risk-xs")
     xs = rng.uniform(-1.0, 1.0, size=(n_x, model.dim))
     ts = np.linspace(-1.0, 1.0, n_t)
@@ -280,6 +282,7 @@ def _cmd_train(cfg, seed: int, strict_grid: bool) -> Outcome:
             "kkt_residual": diag.kkt_residual,
             "iterations": diag.iterations,
             "converged": diag.converged,
+            "duality_gap": diag.duality_gap,
         },
         f"ok: objective {diag.final_objective:g}, kkt {diag.kkt_residual:g}, "
         f"converged {diag.converged}",
@@ -302,6 +305,7 @@ def _cmd_tv_svm(cfg, seed: int, strict_grid: bool) -> Outcome:
             "grid_mode": grid.mode,
             "grid_size": len(grid.values),
             "validation_risk": result.validation_risks[result.chosen_lambda],
+            "convergence": result.convergence(),
         },
         f"ok: chose lambda {result.chosen_lambda:g} out of {len(grid.values)}",
         model=result.model,

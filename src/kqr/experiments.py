@@ -23,7 +23,15 @@ from .calibration import _evaluate, theta_exponent
 from .distributions import ConditionalModel, sample_joint
 from .kernels import gram, spectrum_decay
 from .losses import Dataset, pinball_loss, tau_value
-from .solver import SolveDiagnostics, SvmModel, check_psd, predict_clipped, train
+from .solver import (
+    _MAX_ITER,
+    _TOL,
+    SolveDiagnostics,
+    SvmModel,
+    check_psd,
+    predict_clipped,
+    train,
+)
 from .util import csv_text, derive_rng, derive_seed_sequence, fmt17
 
 __all__ = [
@@ -80,22 +88,36 @@ class TvSvmResult:
     validation_risks: dict[float, float]
     diagnostics: dict[float, SolveDiagnostics]
 
+    def convergence(self) -> dict:
+        return _convergence(self.diagnostics.values())
+
+
+def _convergence(diags) -> dict:
+    """How many fits converged and their worst duality gap, for summary.json."""
+    diags = list(diags)
+    return {
+        "fits": len(diags),
+        "converged": sum(d.converged for d in diags),
+        "worst_gap": max(d.duality_gap for d in diags),
+    }
+
 
 def tv_svm(
     data: Dataset,
     spec,
     grid: LambdaGrid,
     tau,
-    tol: float = 1e-6,
+    tol: float = _TOL,
     *,
-    max_iter: int = 1000,
+    max_iter: int = _MAX_ITER,
     seed: int = 0,
 ) -> TvSvmResult:
     """Training-validation SVM over the given grid.
 
     Models are trained on the first m = floor(n/2)+1 points along the
-    descending grid with warm starts (the dual box rescales exactly by the
-    ratio of consecutive lambdas), validated on the rest with clipped
+    descending grid with warm starts for the coordinate-descent engine (the
+    dual box rescales exactly by the ratio of consecutive lambdas; the
+    interior point starts cold), validated on the rest with clipped
     predictions, and the smallest lambda among the minimizers is returned.
     The KKT tie band around f(x_i) = y_i is max(1e-10, tol).
     """
@@ -143,11 +165,16 @@ def tv_svm(
 
 
 def theoretical_theta(p, q) -> float:
-    if not math.isinf(p) and p <= 0:
+    if not p > 0:
         raise ValueError("p must be positive or inf")
-    if q < 1:
+    if not q >= 1:
         raise ValueError("q must be >= 1")
     return theta_exponent(p, q)
+
+
+def _check_rho(rho: float) -> None:
+    if not 0.0 < rho < 1.0:
+        raise ValueError("rho must lie in (0, 1)")
 
 
 def theoretical_gamma(beta: float, theta: float, rho: float) -> float:
@@ -156,8 +183,7 @@ def theoretical_gamma(beta: float, theta: float, rho: float) -> float:
         raise ValueError("beta must lie in (0, 1]")
     if not 0.0 <= theta <= 1.0:
         raise ValueError("theta must lie in [0, 1]")
-    if not 0.0 < rho < 1.0:
-        raise ValueError("rho must lie in (0, 1)")
+    _check_rho(rho)
     first = beta / (beta * (2.0 - theta + rho * theta - rho) + rho)
     second = 2.0 * beta / (beta + 1.0)
     return min(first, second)
@@ -186,6 +212,11 @@ class RateConfig:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
+        # the exponents' own checks, so that bad values fail before any fit;
+        # an estimated rho is checked once it is known
+        theoretical_theta(self.p, self.q)
+        if self.rho is not None:
+            _check_rho(self.rho)
 
 
 @dataclass(frozen=True)
@@ -209,6 +240,7 @@ class RateReport:
     rho_used: float
     mean_excess: dict[int, float] = field(default_factory=dict)
     mean_dist: dict[int, float] = field(default_factory=dict)
+    convergence: dict[int, dict] = field(default_factory=dict)   # n -> every fit of every rep
 
     def to_csv(self) -> str:
         return csv_text(
@@ -232,6 +264,7 @@ class RateReport:
                 str(n): [row.rep for row in self.rows if row.n == n and not row.converged]
                 for n in sorted({row.n for row in self.rows})
             },
+            "convergence": {str(k): v for k, v in sorted(self.convergence.items())},
         }
 
 
@@ -264,6 +297,7 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
     r = config.q if math.isinf(config.p) else config.p * config.q / (config.p + 1.0)
     rho = _resolve_rho(config)
     rows: list[RateRow] = []
+    diags: dict[int, list[SolveDiagnostics]] = {}
     for n in config.sample_sizes:
         grid = lambda_grid(n, config.grid_mode)
         for rep in range(config.repetitions):
@@ -273,6 +307,7 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
                 data, config.kernel, grid, tv,
                 tol=config.tol, max_iter=config.max_iter, seed=config.seed,
             )
+            diags.setdefault(n, []).extend(result.diagnostics.values())
 
             def f(xs):
                 return np.atleast_1d(predict_clipped(result.model, xs))
@@ -314,4 +349,5 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
         rho_used=rho,
         mean_excess=mean_excess,
         mean_dist=mean_dist,
+        convergence={n: _convergence(v) for n, v in diags.items()},
     )

@@ -291,3 +291,43 @@ def test_misspelled_model_key_exits_2(tmp_path, capsys):
     assert main(["check-calibration", "--config", cfg, "--out", str(out)]) == 2
     assert "exponant" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bad_rates_exponents_exit_2_before_any_fit(tmp_path, monkeypatch):
+    from kqr import experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit ran before the config was validated")
+
+    monkeypatch.setattr(experiments, "train", refuse)
+    for i, bad in enumerate(["q = 0.5", "q = nan", "p = 0", "p = -inf", "rho = 1.5", "rho = 0"]):
+        cfg = write_config(tmp_path, RATES_CFG + bad + "\n", f"case{i}.ini")
+        out = tmp_path / f"o{i}"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 2, bad
+        assert not out.exists()
+
+
+def test_negative_tolerance_exits_2(tmp_path):
+    for i, command in enumerate(["check-calibration", "check-variance", "check-inner-risk"]):
+        cfg = write_config(tmp_path, CHECK_CFG.replace("tolerance = 1e-8", "tolerance = -1"),
+                           f"case{i}.ini")
+        out = tmp_path / f"o{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2, command
+        assert not out.exists()
+
+
+def test_solver_summaries_report_convergence(tmp_path):
+    cfg = write_config(tmp_path, TRAIN_CFG)
+    assert main(["tv-svm", "--config", cfg, "--out", str(tmp_path / "tv")]) == 0
+    conv = json.loads((tmp_path / "tv" / "summary.json").read_text())["convergence"]
+    assert conv["fits"] == 12 and conv["converged"] == 12 and conv["worst_gap"] <= 1e-8
+    assert "gap" not in (tmp_path / "tv" / "report.csv").read_text()
+
+    cfg = write_config(tmp_path, RATES_CFG.replace("sample_sizes = 32", "sample_sizes = 32 64"),
+                       "rates.ini")
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path / "r")]) == 0
+    conv = json.loads((tmp_path / "r" / "summary.json").read_text())["convergence"]
+    assert sorted(conv) == ["32", "64"]
+    assert [conv[n]["fits"] for n in ("32", "64")] == [11, 13]
+    assert all(c["converged"] == c["fits"] and c["worst_gap"] <= 1e-8 for c in conv.values())
+    assert "gap" not in (tmp_path / "r" / "report.csv").read_text()

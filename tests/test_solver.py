@@ -180,3 +180,81 @@ def test_serialization_bit_faithful():
     assert np.array_equal(back.support_x, m.support_x)
     assert back.lam == m.lam and back.tau == m.tau
     assert back.kernel == m.kernel
+
+
+def own_gap(x, y, coef, lam, tau, bandwidth):
+    """P - D from the definitions, with the Gaussian Gram built here."""
+    g = np.exp(-((x - x.T) ** 2) / bandwidth**2)
+    f = g @ coef
+    reg = lam * float(coef @ f)
+    primal = reg + float(np.mean(np.where(y < f, (1 - tau) * (f - y), tau * (y - f))))
+    return primal - (2.0 * lam * float(coef @ y) - reg)
+
+
+def test_tv_svm_path_certified_down_to_tiny_lambda(monkeypatch):
+    from kqr import experiments
+    from kqr.experiments import lambda_grid, tv_svm
+
+    fits = []
+
+    def recording(*args, **kwargs):
+        model, diag = train(*args, **kwargs)
+        fits.append((model, diag))
+        return model, diag
+
+    monkeypatch.setattr(experiments, "train", recording)
+    data = sample_joint(uniform_noise(halfwidth=0.5), 512, seed=11)
+    grid = lambda_grid(512)
+    assert grid.values[-1] == 2.0**-18
+    tv_svm(data, SPEC, grid, 0.5, tol=1e-4, max_iter=300)
+    assert [m.lam for m, _ in fits] == list(grid.values)
+    m = 512 // 2 + 1
+    for model, diag in fits:
+        assert diag.converged and diag.iterations < 50
+        gap = own_gap(data.x[:m], data.y[:m], model.coef, model.lam, 0.5, 0.5)
+        assert -1e-9 <= gap <= 1e-6
+        assert abs(gap - diag.duality_gap) <= 1e-9
+
+
+def test_rank_four_polynomial_gram():
+    from kqr.kernels import PolynomialKernel, gram
+    from kqr.solver import _pivoted_cholesky
+
+    spec = PolynomialKernel(degree=3)
+    data = sample_joint(uniform_noise(), 300, seed=12)
+    g = gram(spec, data.x)
+    chol = _pivoted_cholesky(g)
+    assert chol.shape[1] == 4 and np.max(np.abs(g - chol @ chol.T)) <= 1e-12
+    for lam in (1e-2, 1e-5):
+        m, diag = train(data, spec, lam, 0.3, tol=1e-8, max_iter=100)
+        assert diag.converged and kkt_residual(m, data) <= 1e-8
+        assert abs(diag.duality_gap) <= 1e-10
+        lo, up = -0.7 / (2 * lam * 300), 0.3 / (2 * lam * 300)
+        # a cubic interpolates at most four points, so at most four
+        # coefficients sit strictly inside the box
+        assert np.sum((m.coef > lo) & (m.coef < up)) <= 4
+
+
+def test_interior_point_agrees_with_coordinate_descent(monkeypatch):
+    from kqr import solver
+
+    data = sample_joint(uniform_noise(), 150, seed=13)
+    low_rank, d_ip = train(data, SPEC, 0.01, 0.4, tol=1e-10)
+    monkeypatch.setattr(solver, "_RANK_CUTOFF", 0)
+    dense, d_cd = train(data, SPEC, 0.01, 0.4, tol=1e-10)
+    assert d_cd.converged and d_ip.converged
+    assert len(d_cd.dual_history) == d_cd.iterations and len(d_ip.dual_history) == 1
+    assert abs(d_ip.final_objective - d_cd.final_objective) <= 1e-8
+    assert abs(objective(low_rank, data) - objective(dense, data)) <= 1e-8
+
+
+def test_full_rank_matern_takes_coordinate_descent():
+    from kqr.kernels import MaternKernel
+
+    data = sample_joint(uniform_noise(), 260, seed=14)
+    _, diag = train(data, MaternKernel(0.5, 0.5), 0.01, 0.5, tol=1e-10, max_iter=60)
+    h = np.array(diag.dual_history)
+    # one dual value per epoch: the coordinate-descent path ran
+    assert len(h) == diag.iterations >= 2
+    assert np.all(np.diff(h) <= 1e-9 * max(1.0, np.abs(h).max()))
+    assert diag.duality_gap >= -1e-12
