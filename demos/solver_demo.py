@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Train a pinball SVM on one sample and inspect what optimality means
-here: dual coefficients in their box, a zero KKT residual, the empirical
-quantile property of the residuals, and agreement with an independent
-subgradient-descent solve.
+here: dual coefficients in their box, a duality gap of at most tol (in
+objective units, which is what converged means), a zero KKT residual as a
+diagnostic, the empirical quantile property of the residuals, and
+agreement with an independent subgradient-descent solve.
 """
 
 import numpy as np

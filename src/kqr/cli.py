@@ -268,8 +268,7 @@ def _cmd_train(cfg, seed: int, strict_grid: bool) -> Outcome:
     spec, data = _sample(cfg, seed, "train-data")
     lam = svm.getfloat("lambda", 0.01)
     tau = svm.getfloat("tau", 0.5)
-    trained, diag = train(data, spec, lam, tau, seed=seed,
-                          **_given(svm, tol=float, max_iter=int))
+    trained, diag = train(data, spec, lam, tau, **_given(svm, tol=float, max_iter=int))
     preds = trained.kernel.pairwise(data.x, trained.support_x) @ trained.coef
     rows = [[i, fmt17(data.x[i, 0]), fmt17(data.y[i]), fmt17(preds[i]),
              fmt17(np.clip(preds[i], -1, 1)), fmt17(trained.coef[i])]
@@ -295,7 +294,7 @@ def _cmd_tv_svm(cfg, seed: int, strict_grid: bool) -> Outcome:
     spec, data = _sample(cfg, seed, "tv-data")
     grid = lambda_grid(len(data), "strict" if strict_grid else "geometric")
     result = tv_svm(data, spec, grid, svm.getfloat("tau", 0.5), tol=svm.getfloat("tol", 1e-5),
-                    max_iter=svm.getint("max_iter", 300), seed=seed)
+                    max_iter=svm.getint("max_iter", 300))
     rows = [[fmt17(lam), fmt17(risk), int(result.diagnostics[lam].converged)]
             for lam, risk in sorted(result.validation_risks.items(), reverse=True)]
     return Outcome(

@@ -28,7 +28,7 @@ from .solver import (
     _TOL,
     SolveDiagnostics,
     SvmModel,
-    check_psd,
+    _prepare,
     predict_clipped,
     train,
 )
@@ -110,7 +110,6 @@ def tv_svm(
     tol: float = _TOL,
     *,
     max_iter: int = _MAX_ITER,
-    seed: int = 0,
 ) -> TvSvmResult:
     """Training-validation SVM over the given grid.
 
@@ -119,7 +118,8 @@ def tv_svm(
     dual box rescales exactly by the ratio of consecutive lambdas; the
     interior point starts cold), validated on the rest with clipped
     predictions, and the smallest lambda among the minimizers is returned.
-    The KKT tie band around f(x_i) = y_i is max(1e-10, tol).
+    The training Gram is factored and checked PSD once for the whole path,
+    and a fit converged when its duality gap is at most tol.
     """
     n = len(data)
     if n < 3:
@@ -127,8 +127,7 @@ def tv_svm(
     tv = tau_value(tau)
     m = n // 2 + 1
     d1, d2 = data.subset(0, m), data.subset(m, n)
-    g1 = gram(spec, d1.x)
-    check_psd(g1)
+    g1 = _prepare(gram(spec, d1.x))
     k21 = spec.pairwise(d2.x, d1.x)
 
     risks: dict[float, float] = {}
@@ -139,10 +138,7 @@ def tv_svm(
     for lam in grid.values:  # descending
         if warm is not None:
             warm = warm * (prev_lam / lam)
-        model, diag = train(
-            d1, spec, lam, tv, tol, max_iter,
-            band=max(1e-10, tol), warm_start=warm, gram_matrix=g1, psd_check=False, seed=seed,
-        )
+        model, diag = train(d1, spec, lam, tv, tol, max_iter, warm_start=warm, gram_matrix=g1)
         warm = model.coef.copy()
         prev_lam = lam
         preds = np.clip(k21 @ model.coef, -1.0, 1.0)
@@ -305,7 +301,7 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
             data = sample_joint(config.model, n, int(item_seed))
             result = tv_svm(
                 data, config.kernel, grid, tv,
-                tol=config.tol, max_iter=config.max_iter, seed=config.seed,
+                tol=config.tol, max_iter=config.max_iter,
             )
             diags.setdefault(n, []).extend(result.diagnostics.values())
 

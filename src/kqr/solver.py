@@ -27,23 +27,31 @@ _RANK_CUTOFF.
 - Otherwise: coordinate descent projects each Newton step onto the box,
   with pair updates on the worst violators and a periodic polish of the
   free block, accepted only when it lowers both the dual objective and the
-  KKT residual, so the dual descends at every epoch.
+  duality gap, so the dual descends at every epoch.
 
-Both return a box-feasible alpha.  Optimality is certified by the KKT
-residual: with r_i = y_i - f(x_i),
+Each Gram is factored once: a caller that trains along a lambda path
+prepares it with _prepare and passes the result as gram_matrix.  The
+factorization is also the PSD check.  With G = L L' + E and L L' PSD,
+Gershgorin's discs of the residual E bound the smallest eigenvalue of G
+from below; the exact eigenvalue check runs only when that bound cannot
+certify the matrix, or when the rank passes _RANK_CUTOFF.
 
-    r_i >  band  requires alpha_i at the upper bound,
-    r_i < -band  requires alpha_i at the lower bound,
-    |r_i| <= band leaves alpha_i anywhere in the box,
+Both engines return a box-feasible alpha, certified by one number, the
+duality gap on the full G with f = G alpha,
 
-and the residual is the largest distance from alpha_i to its required set;
-a fit converged when it is at most tol.  The residual is in alpha units and
-scales with 1/lambda, so each fit also reports its duality gap
+    P - D = 2 lam alpha' f + (1/n) sum_i L(y_i, f(x_i)) - 2 lam alpha' y,
 
-    P - D = 2 lam alpha' G alpha + (1/n) sum_i L(y_i, f(x_i)) - 2 lam alpha' y
+in objective units: the fit's objective is at most the gap above the
+optimum.  A fit converged when its gap is at most tol.  Coordinate descent
+stops on it, and the crossover keeps whichever candidate has the smaller
+gap.  The KKT residual stays as a diagnostic: with r_i = y_i - f(x_i),
 
-on the full G, in objective units: the distance of the fit's objective from
-the optimum is at most the gap.
+    r_i >  1e-10  requires alpha_i at the upper bound,
+    r_i < -1e-10  requires alpha_i at the lower bound,
+    otherwise alpha_i may lie anywhere in the box,
+
+and the residual is the largest distance from alpha_i to its required set,
+in alpha units, so it scales with 1/lambda.
 """
 
 from __future__ import annotations
@@ -72,8 +80,12 @@ __all__ = [
 
 _TOL = 1e-6
 _MAX_ITER = 1000
-_DEFAULT_BAND = 1e-10
+# The KKT residual's tie band around f(x_i) = y_i.
+_TIE_BAND = 1e-10
 _PSD_TOL = 1e-8
+# Coordinate descent sweeps the coordinates in an order drawn afresh every
+# epoch from a generator with this fixed seed, so a fit is reproducible.
+_ORDER_SEED = 0
 # Pivoting stops once every residual diagonal of G - L L' is at most this;
 # the kernels have k(x, x) <= 1, so it is relative to the largest diagonal.
 _PIVOT_TOL = 1e-13
@@ -123,8 +135,10 @@ class SvmModel:
 class SolveDiagnostics:
     """How a fit went.  iterations counts CD epochs or interior-point steps;
     duality_gap is P - D of the returned alpha on the full Gram, in
-    objective units; dual_history holds the dual objective after each CD
-    epoch, or once, at the crossover point, for the interior point."""
+    objective units, and converged means it is at most the fit's tol;
+    kkt_residual is a diagnostic in alpha units with a tie band of 1e-10;
+    dual_history holds the dual objective after each CD epoch, or once, at
+    the crossover point, for the interior point."""
 
     iterations: int
     final_objective: float
@@ -159,12 +173,12 @@ def _bounds(tau: float, lam: float, n: int) -> tuple[float, float]:
     return -(1.0 - tau) / (2.0 * lam * n), tau / (2.0 * lam * n)
 
 
-def _kkt_vector(alpha, fvals, y, lo, up, band):
+def _kkt_vector(alpha, fvals, y, lo, up):
     box = np.maximum(alpha - up, 0.0) + np.maximum(lo - alpha, 0.0)
     r = y - fvals
     v = np.zeros_like(alpha)
-    need_up = r > band
-    need_lo = r < -band
+    need_up = r > _TIE_BAND
+    need_lo = r < -_TIE_BAND
     v[need_up] = np.abs(up - alpha[need_up])
     v[need_lo] = np.abs(alpha[need_lo] - lo)
     return np.maximum(v, box)
@@ -181,11 +195,20 @@ def kkt_residual(model: SvmModel, data: Dataset) -> float:
         raise ValueError("kkt_residual expects the model's own training data")
     lo, up = _bounds(model.tau, model.lam, n)
     fvals = np.atleast_1d(predict(model, data.x))
-    return float(np.max(_kkt_vector(model.coef, fvals, data.y, lo, up, _DEFAULT_BAND)))
+    return float(np.max(_kkt_vector(model.coef, fvals, data.y, lo, up)))
 
 
 def _dual_value(alpha, fvals, y) -> float:
     return float(alpha @ fvals - 2.0 * alpha @ y)
+
+
+def _certificate(alpha, g, y, lam, tau) -> tuple[np.ndarray, float, float]:
+    """f = G alpha, the primal objective P and the duality gap P - D of
+    alpha on the full Gram g; the gap is the one optimality certificate."""
+    fvals = g @ alpha
+    reg = float(alpha @ g @ alpha)
+    primal = lam * reg + float(np.mean(pinball_loss(tau, y, fvals)))
+    return fvals, primal, primal - (2.0 * lam * float(alpha @ y) - lam * reg)
 
 
 def _polish(g, y, alpha, lo, up, cap: int = 600, rounds: int = 12):
@@ -254,9 +277,9 @@ def _pair_update(g, y, alpha, fvals, i, j, lo, up) -> float:
     return max(gain, 0.0)
 
 
-def _pair_sweep(g, y, alpha, fvals, lo, up, band, count: int = 8) -> None:
+def _pair_sweep(g, y, alpha, fvals, lo, up, count: int = 8) -> None:
     """Pair updates on the worst KKT violators with their strongest coupler."""
-    viol = _kkt_vector(alpha, fvals, y, lo, up, band)
+    viol = _kkt_vector(alpha, fvals, y, lo, up)
     order = np.argsort(viol)[::-1][:count]
     for i in order:
         if viol[i] <= 0.0:
@@ -267,16 +290,15 @@ def _pair_sweep(g, y, alpha, fvals, lo, up, band, count: int = 8) -> None:
         _pair_update(g, y, alpha, fvals, int(i), j, lo, up)
 
 
-def _coordinate_descent(g, y, lo, up, alpha0, tol, max_iter, band, seed):
+def _coordinate_descent(g, y, lam, tau, lo, up, alpha0, tol, max_iter):
+    """Returns the last iterate, the epochs run and the dual after each."""
     n = len(y)
     diag = np.diag(g).copy()
     alpha = alpha0.copy()
     fvals = g @ alpha
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_ORDER_SEED)
     history = []
-    kkt = np.inf
     epochs = 0
-    converged = False
     for epoch in range(max_iter):
         epochs = epoch + 1
         order = rng.permutation(n)
@@ -293,28 +315,25 @@ def _coordinate_descent(g, y, lo, up, alpha0, tol, max_iter, band, seed):
             if d != 0.0:
                 alpha[i] = new
                 fvals += d * g[i]
-        fvals = g @ alpha  # refresh to kill incremental drift
-        kkt = float(np.max(_kkt_vector(alpha, fvals, y, lo, up, band)))
-        if kkt > tol:
-            _pair_sweep(g, y, alpha, fvals, lo, up, band)
-            fvals = g @ alpha
-            kkt = float(np.max(_kkt_vector(alpha, fvals, y, lo, up, band)))
-        if epoch % 5 == 4 and kkt > tol:
+        # a fresh f = G alpha also kills the incremental drift
+        fvals, _, gap = _certificate(alpha, g, y, lam, tau)
+        if gap > tol:
+            _pair_sweep(g, y, alpha, fvals, lo, up)
+            fvals, _, gap = _certificate(alpha, g, y, lam, tau)
+        if epoch % 5 == 4 and gap > tol:
             cand = _polish(g, y, alpha, lo, up)
             if cand is not None:
-                cand_f = g @ cand
+                cand_f, _, cand_gap = _certificate(cand, g, y, lam, tau)
                 dual_now = _dual_value(alpha, fvals, y)
                 dual_cand = _dual_value(cand, cand_f, y)
-                cand_kkt = float(np.max(_kkt_vector(cand, cand_f, y, lo, up, band)))
                 # accept only strict improvement; the dual slack absorbs
                 # least-squares roundoff without breaking per-epoch descent
-                if cand_kkt < kkt and dual_cand <= dual_now + 1e-12 * max(1.0, abs(dual_now)):
-                    alpha, fvals, kkt = cand, cand_f, cand_kkt
+                if cand_gap < gap and dual_cand <= dual_now + 1e-12 * max(1.0, abs(dual_now)):
+                    alpha, fvals, gap = cand, cand_f, cand_gap
         history.append(_dual_value(alpha, fvals, y))
-        if kkt <= tol:
-            converged = True
+        if gap <= tol:
             break
-    return alpha, kkt, epochs, converged, tuple(history)
+    return alpha, epochs, tuple(history)
 
 
 def _pivoted_cholesky(g):
@@ -408,11 +427,49 @@ def _interior_point(chol, y, lam, tau, max_iter):
     return u, z > s, w > t, iters
 
 
-def check_psd(g: np.ndarray) -> None:
-    """Raise ValueError unless the Gram matrix is PSD to within roundoff."""
+@dataclass(frozen=True)
+class _Gram:
+    """A Gram matrix checked PSD, with its pivoted Cholesky factor (None once
+    the rank passes _RANK_CUTOFF).  Build it with _prepare."""
+
+    matrix: np.ndarray
+    chol: np.ndarray | None
+
+
+def _prepare(g: np.ndarray) -> _Gram:
+    """Factor g and check it PSD within _PSD_TOL; raise ValueError if not.
+
+    G = L L' + E with L L' PSD, so by Gershgorin the smallest eigenvalue of
+    G is at least min_i (E_ii - sum_{j != i} |E_ij|).  When that bound is
+    below -_PSD_TOL, or there is no factor, a dense eigen-solve decides."""
+    chol = _pivoted_cholesky(g)
+    if chol is not None:
+        resid = chol @ chol.T
+        np.subtract(g, resid, out=resid)
+        d = resid.diagonal().copy()
+        bound = float(np.min(d + np.abs(d) - np.sum(np.abs(resid, out=resid), axis=1)))
+        if bound >= -_PSD_TOL:
+            return _Gram(g, chol)
     min_eig = float(np.linalg.eigvalsh(g)[0])
     if min_eig < -_PSD_TOL:
         raise ValueError(f"Gram matrix is not PSD within tolerance: min eig {min_eig:g}")
+    return _Gram(g, chol)
+
+
+def _crossover(g, y, lam, tau, raw, snapped, lo, up):
+    """The snapped iterate with its free block solved exactly on the full
+    Gram, if that does not raise the gap; otherwise whichever of the snapped
+    and the raw iterate has the smaller gap.  Exact ties in y can make the
+    free block singular, and its solve then lands far from the optimum.
+    Returns (alpha, f, P, P - D) of the one kept."""
+    snap = (snapped, *_certificate(snapped, g, y, lam, tau))
+    polished = _polish(g, y, snapped, lo, up)
+    if polished is not None:
+        pol = (polished, *_certificate(polished, g, y, lam, tau))
+        if pol[3] <= snap[3]:
+            return pol
+    unsnapped = (raw, *_certificate(raw, g, y, lam, tau))
+    return snap if snap[3] <= unsnapped[3] else unsnapped
 
 
 def train(
@@ -423,56 +480,50 @@ def train(
     tol: float = _TOL,
     max_iter: int = _MAX_ITER,
     *,
-    band: float = _DEFAULT_BAND,
     warm_start: np.ndarray | None = None,
-    gram_matrix: np.ndarray | None = None,
-    psd_check: bool = True,
-    seed: int = 0,
+    gram_matrix: np.ndarray | _Gram | None = None,
 ) -> tuple[SvmModel, SolveDiagnostics]:
     """Solve the regularized pinball-risk problem in the dual.
 
-    A Gram of numerical rank at most _RANK_CUTOFF goes to the interior point
-    and its crossover, with max_iter capping the Newton iterations; any
-    other Gram to coordinate descent, with max_iter capping the epochs and
-    warm_start and seed setting its start and its coordinate order.  Either
-    way the result is box feasible and converged means a KKT residual of at
-    most tol; otherwise the last iterate comes back with converged=False.
+    gram_matrix is the training Gram, or the value _prepare made of it, so
+    that a lambda path factors and checks it once; a Gram that is not PSD
+    raises ValueError before any solve.  A Gram of numerical rank at most
+    _RANK_CUTOFF goes to the interior point and its crossover, with max_iter
+    capping the Newton iterations; any other Gram to coordinate descent,
+    with max_iter capping the epochs and warm_start setting its start
+    (the interior point ignores it).  Either way the result is box feasible
+    and converged means a duality gap of at most tol, in objective units;
+    otherwise the last iterate comes back with converged=False.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     tv = tau_value(tau)
     n = len(data)
-    g = gram(spec, data.x) if gram_matrix is None else gram_matrix
-    if psd_check:
-        check_psd(g)
+    if not isinstance(gram_matrix, _Gram):
+        gram_matrix = _prepare(gram(spec, data.x) if gram_matrix is None else gram_matrix)
+    g, chol = gram_matrix.matrix, gram_matrix.chol
     lo, up = _bounds(tv, lam, n)
-    chol = _pivoted_cholesky(g)
     if chol is None:
         alpha0 = np.zeros(n) if warm_start is None else np.clip(warm_start, lo, up)
-        alpha, kkt, iters, converged, history = _coordinate_descent(
-            g, data.y, lo, up, alpha0, tol, max_iter, band, seed
+        alpha, iters, history = _coordinate_descent(
+            g, data.y, lam, tv, lo, up, alpha0, tol, max_iter
         )
+        fvals, primal, gap = _certificate(alpha, g, data.y, lam, tv)
     else:
         u, at_lo, at_up, iters = _interior_point(chol, data.y, lam, tv, max_iter)
-        # crossover: snap to the bounds the multipliers select, then solve
-        # the free block exactly on the full Gram
-        alpha = np.clip(u / (2.0 * lam * n), lo, up)
-        alpha[at_lo], alpha[at_up] = lo, up
-        polished = _polish(g, data.y, alpha, lo, up)
-        alpha = alpha if polished is None else polished
-        fvals = g @ alpha
-        kkt = float(np.max(_kkt_vector(alpha, fvals, data.y, lo, up, band)))
-        converged, history = kkt <= tol, (_dual_value(alpha, fvals, data.y),)
+        # crossover: snap to the bounds the multipliers select
+        raw = np.clip(u / (2.0 * lam * n), lo, up)
+        snapped = raw.copy()
+        snapped[at_lo], snapped[at_up] = lo, up
+        alpha, fvals, primal, gap = _crossover(g, data.y, lam, tv, raw, snapped, lo, up)
+        history = (_dual_value(alpha, fvals, data.y),)
     model = SvmModel(support_x=data.x, coef=alpha, kernel=spec, lam=lam, tau=tv)
-    reg = float(alpha @ g @ alpha)
-    risk = float(np.mean(pinball_loss(tv, data.y, g @ alpha)))
-    primal = lam * reg + risk
     diagnostics = SolveDiagnostics(
         iterations=iters,
         final_objective=primal,
-        kkt_residual=kkt,
-        converged=converged,
-        duality_gap=primal - (2.0 * lam * float(alpha @ data.y) - lam * reg),
+        kkt_residual=float(np.max(_kkt_vector(alpha, fvals, data.y, lo, up))),
+        converged=gap <= tol,
+        duality_gap=gap,
         dual_history=history,
     )
     return model, diagnostics

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from kqr.distributions import uniform_noise, sample_joint
+from kqr.distributions import dirac_atom_mixture, uniform_noise, sample_joint
 from kqr.kernels import GaussianKernel
 from kqr.losses import Dataset, empirical_risk, pinball_loss
 from kqr.solver import (
@@ -172,6 +172,24 @@ def test_psd_check_rejects_bad_gram():
         train(data, SPEC, 0.1, 0.5, gram_matrix=bad)
 
 
+def test_psd_check_no_weaker_than_eigenvalues():
+    from kqr.kernels import gram
+    from kqr.solver import _pivoted_cholesky
+
+    data = sample_joint(uniform_noise(), 100, seed=1)
+    g = gram(SPEC, data.x).copy()
+    g[2, 5] += 1e-6
+    g[5, 2] += 1e-6
+    # neither point is a pivot: the factorization completes and every
+    # residual diagonal is zero to roundoff, so only the off-diagonal
+    # residual shows the negative eigenvalue
+    chol = _pivoted_cholesky(g)
+    assert np.max(np.abs(np.diag(g - chol @ chol.T))) <= 1e-12
+    assert np.linalg.eigvalsh(g)[0] < -1e-7
+    with pytest.raises(ValueError, match="PSD"):
+        train(data, SPEC, 0.1, 0.5, gram_matrix=g)
+
+
 def test_serialization_bit_faithful():
     data = sample_joint(uniform_noise(), 25, seed=8)
     m, _ = train(data, SPEC, 0.02, 0.7, tol=1e-8)
@@ -191,7 +209,12 @@ def own_gap(x, y, coef, lam, tau, bandwidth):
     return primal - (2.0 * lam * float(coef @ y) - reg)
 
 
-def test_tv_svm_path_certified_down_to_tiny_lambda(monkeypatch):
+@pytest.mark.parametrize("model, n, seed, floor", [
+    (uniform_noise(halfwidth=0.5), 512, 11, 2.0**-18),
+    # 85 % of the mass on one atom: most y_i sit exactly on g(x_i)
+    (dirac_atom_mixture(), 1024, 7, 2.0**-20),
+], ids=["uniform", "dirac-atom"])
+def test_tv_svm_path_certified_down_to_tiny_lambda(monkeypatch, model, n, seed, floor):
     from kqr import experiments
     from kqr.experiments import lambda_grid, tv_svm
 
@@ -203,17 +226,40 @@ def test_tv_svm_path_certified_down_to_tiny_lambda(monkeypatch):
         return model, diag
 
     monkeypatch.setattr(experiments, "train", recording)
-    data = sample_joint(uniform_noise(halfwidth=0.5), 512, seed=11)
-    grid = lambda_grid(512)
-    assert grid.values[-1] == 2.0**-18
+    data = sample_joint(model, n, seed=seed)
+    grid = lambda_grid(n)
+    assert grid.values[-1] == floor
     tv_svm(data, SPEC, grid, 0.5, tol=1e-4, max_iter=300)
     assert [m.lam for m, _ in fits] == list(grid.values)
-    m = 512 // 2 + 1
-    for model, diag in fits:
+    m = n // 2 + 1
+    for fit, diag in fits:
         assert diag.converged and diag.iterations < 50
-        gap = own_gap(data.x[:m], data.y[:m], model.coef, model.lam, 0.5, 0.5)
+        gap = own_gap(data.x[:m], data.y[:m], fit.coef, fit.lam, 0.5, 0.5)
         assert -1e-9 <= gap <= 1e-6
         assert abs(gap - diag.duality_gap) <= 1e-9
+
+
+def test_tv_svm_factors_its_gram_once(monkeypatch):
+    from kqr import solver
+    from kqr.experiments import lambda_grid, tv_svm
+
+    calls = {"cholesky": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(solver, "_pivoted_cholesky",
+                        counting("cholesky", solver._pivoted_cholesky))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    data = sample_joint(uniform_noise(), 200, seed=15)
+    result = tv_svm(data, SPEC, lambda_grid(200), 0.5)
+    assert len(result.diagnostics) == len(lambda_grid(200).values)
+    # one factorization for the whole path, and it certifies the low-rank
+    # Gram PSD without an eigen-solve
+    assert calls == {"cholesky": 1, "eigvalsh": 0}
 
 
 def test_rank_four_polynomial_gram():
