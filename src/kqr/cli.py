@@ -305,6 +305,9 @@ def _cmd_tv_svm(cfg, seed: int, strict_grid: bool) -> Outcome:
             "grid_size": len(grid.values),
             "validation_risk": result.validation_risks[result.chosen_lambda],
             "convergence": result.convergence(),
+            # no seconds per lambda: the fits of a block share one interior-point solve
+            "per_lambda": {fmt17(lam): {"iterations": d.iterations, "duality_gap": d.duality_gap}
+                           for lam, d in sorted(result.diagnostics.items(), reverse=True)},
         },
         f"ok: chose lambda {result.chosen_lambda:g} out of {len(grid.values)}",
         model=result.model,

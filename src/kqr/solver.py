@@ -21,16 +21,20 @@ _RANK_CUTOFF.
   of the Frisch-Newton method of Portnoy & Koenker, Stat. Sci. 1997)
   solves the dual with G replaced by L L'.  Each Newton step is a
   Woodbury solve with an r x r core, O(n r^2), and the iteration count
-  does not grow as lambda shrinks.  A crossover then snaps every
-  coordinate to the bound its multiplier selects and solves the free
-  block exactly on the full G.
+  does not grow as lambda shrinks.  The lambdas of a path share L, y and
+  tau, so a block of them steps together, one row each, in one Newton
+  loop; each row stops on its own test and keeps the bits a solve of that
+  lambda alone gives.  A crossover then snaps every coordinate to the
+  bound its multiplier selects and solves the free block exactly on the
+  full G.
 - Otherwise: coordinate descent projects each Newton step onto the box,
   with pair updates on the worst violators and a periodic polish of the
   free block, accepted only when it lowers both the dual objective and the
   duality gap, so the dual descends at every epoch.
 
 Each Gram is factored once: a caller that trains along a lambda path
-prepares it with _prepare and passes the result as gram_matrix.  The
+prepares it with _prepare, solves each block of lambdas on it with
+_Gram.solve_block, and passes it to train as gram_matrix.  The
 factorization is also the PSD check.  With G = L L' + E and L L' PSD,
 Gershgorin's discs of the residual E bound the smallest eigenvalue of G
 from below; the exact eigenvalue check runs only when that bound cannot
@@ -58,7 +62,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -90,10 +94,12 @@ _ORDER_SEED = 0
 # the kernels have k(x, x) <= 1, so it is relative to the largest diagonal.
 _PIVOT_TOL = 1e-13
 # The interior point runs when the numerical rank r is at most this.  Its
-# Newton step costs O(n r^2): at n = 1025 on a 2-core machine, 0.6 ms at
-# r = 22 and 7 ms at r = 200, and a fit takes 10 to 26 steps at every
-# lambda of the experiments' grids.  At r = 200 that is the price of about
-# 50 coordinate-descent epochs of 2 ms, and CD needs hundreds at small
+# Newton step costs O(n r^2) per lambda: at n = 1025 on a 2-core machine, a
+# batched step of 16 lambdas takes 6.9 ms at r = 21 (0.43 ms per lambda,
+# against 0.67 ms for a lambda alone) and 112 ms at r = 200 (7 ms per
+# lambda, as alone), and a fit takes 10 to 26 steps at every lambda of the
+# experiments' grids.  At r = 200 that is the price of about 50
+# coordinate-descent epochs of 2 ms, and CD needs hundreds at small
 # lambda.  Past the cutoff, where full-rank Grams such as Matern(1/2) land,
 # the factorization has cost O(n _RANK_CUTOFF^2) (9 ms at n = 1025) and CD
 # takes over.
@@ -356,84 +362,144 @@ def _pivoted_cholesky(g):
     return chol
 
 
-def _step_to_boundary(*pairs) -> float:
-    """Largest step in (0, 1] that keeps every v + step * dv nonnegative."""
-    step = 1.0
+def _step_to_boundary(*pairs) -> np.ndarray:
+    """Per row, the largest step in (0, 1] that keeps every v + step * dv
+    nonnegative."""
+    step = np.ones(len(pairs[0][0]))
     for v, dv in pairs:
-        neg = dv < 0.0
-        if np.any(neg):
-            step = min(step, float(np.min(-v[neg] / dv[neg])))
+        ratio = np.full(v.shape, np.inf)
+        np.divide(-v, dv, out=ratio, where=dv < 0.0)
+        step = np.minimum(step, np.min(ratio, axis=1))
     return step
 
 
-def _interior_point(chol, y, lam, tau, max_iter):
+def _rows(v, mat):
+    """Row i of v times mat, or times mat[i] for a stack: one matrix-vector
+    product per row, so no row's bits depend on the others (a 2-D v @ mat
+    goes through a matrix-matrix kernel that sums in another order)."""
+    return (v[:, None, :] @ mat)[:, 0, :]
+
+
+def _row_dots(v, w):
+    """The dot product of row i of v with row i of w, one per row."""
+    return (v[:, None, :] @ w[:, :, None])[:, 0, 0]
+
+
+def _interior_point(chol, y, lams, tau, max_iter):
     """Mehrotra predictor-corrector on the box dual in u = 2 lam m alpha,
 
         min (c/2) |L'u|^2 - y'u,   u in [a, b]^m,   c = 1/(2 lam m),
 
     with the slacks s = u - a, t = b - u and their multipliers z, w as
     iterates: recomputing u - a would lose the slack's digits near a bound.
-    Returns (u, z > s, w > t, iterations); the masks are the coordinates
-    whose multiplier selects the lower or the upper bound."""
-    m = len(y)
-    c = 1.0 / (2.0 * lam * m)
+
+    The lambdas of a block share L, y and tau, so they step together as the
+    rows of (k, m) arrays and one Newton step pays numpy's dispatch once for
+    the block.  Each row stops on its own mu or residual test and is not
+    updated after, and every product is taken row by row, so a row's bits
+    are those of a block of one.  Returns (u, z > s, w > t, iterations),
+    one row per lambda; the masks are the coordinates whose multiplier
+    selects the lower or the upper bound."""
+    m, r = chol.shape
+    c = 1.0 / (2.0 * np.asarray(lams, dtype=float) * m)
     a, b = -(1.0 - tau), tau
-    u = np.full(m, 0.5 * (a + b))
+    u = np.full((len(c), m), 0.5 * (a + b))
     s, t = u - a, b - u
-    grad = c * (chol @ (chol.T @ u)) - y
+    grad = c[:, None] * _rows(_rows(u, chol), chol.T) - y
     z, w = np.maximum(grad, 0.0) + 1.0, np.maximum(-grad, 0.0) + 1.0   # dual feasible
     y_size = float(np.max(np.abs(y), initial=0.0))
-    iters, last = 0, None
-    while iters < max_iter:
-        q = c * (chol @ (chol.T @ u))
+    u_out, lo_out, up_out = np.empty(u.shape), np.empty(u.shape, bool), np.empty(u.shape, bool)
+    iters_out = np.empty(len(c), int)
+    rows = np.arange(len(c))   # the rows still stepping
+    iters, last = 0, (u, s, t, z, w)
+    while len(rows) and iters < max_iter:
+        q = c[:, None] * _rows(_rows(u, chol), chol.T)
         r_d, r_s, r_t = q - y - z + w, u - a - s, b - u - t
-        if max(np.max(np.abs(r_d)) / (1.0 + y_size + float(np.max(np.abs(q)))),
-               np.max(np.abs(r_s)), np.max(np.abs(r_t))) > _IP_RES_TOL:
-            u, s, t, z, w = last
-            break
-        mu = (s @ z + t @ w) / (2 * m)
-        if mu <= _IP_MU_TOL:
-            break
+        lost = ((np.max(np.abs(r_d), axis=1) / (1.0 + y_size + np.max(np.abs(q), axis=1))
+                 > _IP_RES_TOL)
+                | (np.max(np.abs(r_s), axis=1) > _IP_RES_TOL)
+                | (np.max(np.abs(r_t), axis=1) > _IP_RES_TOL))
+        mu = (_row_dots(s, z) + _row_dots(t, w)) / (2 * m)
+        done = lost | (mu <= _IP_MU_TOL)
+        if np.any(done):
+            # a row that lost its residuals keeps its last iterate
+            u, s, t, z, w = (np.where(lost[:, None], old, new)
+                             for old, new in zip(last, (u, s, t, z, w)))
+            pos = rows[done]
+            u_out[pos], lo_out[pos], up_out[pos] = u[done], z[done] > s[done], w[done] > t[done]
+            iters_out[pos] = iters
+            keep = ~done
+            rows, c, mu = rows[keep], c[keep], mu[keep]
+            u, s, t, z, w, r_d, r_s, r_t = (v[keep] for v in (u, s, t, z, w, r_d, r_s, r_t))
+            if not len(rows):
+                break
         last = u, s, t, z, w
         iters += 1
         diag = z / s + w / t
         # (c L L' + D)^-1 by Woodbury; the r x r core I/c + L' D^-1 L goes
         # through a symmetric eigen-solve, which does not break down when D
         # spans many decades near the solution
-        scaled = chol / diag[:, None]
-        evals, evecs = np.linalg.eigh(np.eye(chol.shape[1]) / c + chol.T @ scaled)
+        scaled = chol / diag[:, :, None]
+        evals, evecs = np.linalg.eigh(np.eye(r) / c[:, None, None] + chol.T @ scaled)
 
         def woodbury(v):
-            p = evecs @ ((evecs.T @ (scaled.T @ v)) / evals)
-            return (v - chol @ p) / diag
+            p = _rows(_rows(_rows(v, scaled), evecs) / evals, evecs.transpose(0, 2, 1))
+            return (v - _rows(p, chol.T)) / diag
 
         def newton(r_sz, r_tw):
             rhs = -r_d + (r_sz - z * r_s) / s - (r_tw - w * r_t) / t
             du = woodbury(rhs)
             for _ in range(2):  # iterative refinement keeps the dual residual down
-                du += woodbury(rhs - c * (chol @ (chol.T @ du)) - diag * du)
+                du += woodbury(rhs - c[:, None] * _rows(_rows(du, chol), chol.T) - diag * du)
             ds, dt = du + r_s, r_t - du
             return du, ds, dt, (r_sz - z * ds) / s, (r_tw - w * dt) / t
 
         du, ds, dt, dz, dw = newton(-s * z, -t * w)
-        step = _step_to_boundary((s, ds), (t, dt), (z, dz), (w, dw))
-        mu_aff = ((s + step * ds) @ (z + step * dz)
-                  + (t + step * dt) @ (w + step * dw)) / (2 * m)
-        sigma = (mu_aff / mu) ** 3
-        du, ds, dt, dz, dw = newton(sigma * mu - s * z - ds * dz, sigma * mu - t * w - dt * dw)
-        step = min(1.0, 0.99 * _step_to_boundary((s, ds), (t, dt), (z, dz), (w, dw)))
+        step = _step_to_boundary((s, ds), (t, dt), (z, dz), (w, dw))[:, None]
+        mu_aff = (_row_dots(s + step * ds, z + step * dz)
+                  + _row_dots(t + step * dt, w + step * dw)) / (2 * m)
+        # a scalar power per row: numpy's vectorized power can round differently
+        target = np.array([ratio ** 3 for ratio in (mu_aff / mu).tolist()]) * mu
+        du, ds, dt, dz, dw = newton(target[:, None] - s * z - ds * dz,
+                                    target[:, None] - t * w - dt * dw)
+        step = 0.99 * _step_to_boundary((s, ds), (t, dt), (z, dz), (w, dw))
+        step = np.minimum(1.0, step)[:, None]
         u, s, t = u + step * du, s + step * ds, t + step * dt
         z, w = z + step * dz, w + step * dw
-    return u, z > s, w > t, iters
+    u_out[rows], lo_out[rows], up_out[rows] = u, z > s, w > t
+    iters_out[rows] = iters
+    return u_out, lo_out, up_out, iters_out
 
 
 @dataclass(frozen=True)
 class _Gram:
     """A Gram matrix checked PSD, with its pivoted Cholesky factor (None once
-    the rank passes _RANK_CUTOFF).  Build it with _prepare."""
+    the rank passes _RANK_CUTOFF).  Build it with _prepare.
+
+    A lambda path on a factored Gram runs the interior point on a block of
+    lambdas at once with solve_block; each row waits in `solved`, keyed by
+    lambda, until train takes it."""
 
     matrix: np.ndarray
     chol: np.ndarray | None
+    solved: dict = field(default_factory=dict)
+
+    def solve_block(self, y, lams, tau, max_iter) -> None:
+        """Step the interior point on every lambda of lams together and keep
+        each row for the train call at that lambda."""
+        y = np.array(y)   # a copy, to match against train's y
+        u, at_lo, at_up, iters = _interior_point(self.chol, y, lams, tau, max_iter)
+        for i, lam in enumerate(lams):
+            self.solved[lam] = (tau, max_iter, y, u[i], at_lo[i], at_up[i], int(iters[i]))
+
+    def solution(self, y, lam, tau, max_iter):
+        """(u, at_lo, at_up, iterations) at lam: the row solve_block kept if
+        it was solved with the same tau, max_iter and y, else a block of one."""
+        row = self.solved.pop(lam, None)
+        if row is None or row[:2] != (tau, max_iter) or not np.array_equal(row[2], y):
+            self.solve_block(y, [lam], tau, max_iter)
+            row = self.solved.pop(lam)
+        return row[3:]
 
 
 def _prepare(g: np.ndarray) -> _Gram:
@@ -489,11 +555,15 @@ def train(
     that a lambda path factors and checks it once; a Gram that is not PSD
     raises ValueError before any solve.  A Gram of numerical rank at most
     _RANK_CUTOFF goes to the interior point and its crossover, with max_iter
-    capping the Newton iterations; any other Gram to coordinate descent,
-    with max_iter capping the epochs and warm_start setting its start
-    (the interior point ignores it).  Either way the result is box feasible
-    and converged means a duality gap of at most tol, in objective units;
-    otherwise the last iterate comes back with converged=False.
+    capping the Newton iterations.  When gram_matrix holds a row that
+    _Gram.solve_block stepped with a block of lambdas, solved at this lam,
+    tau, max_iter and y, train takes it; otherwise it solves a block of
+    one, and the row has the same bits either way.  Any other Gram goes to
+    coordinate descent, with max_iter capping the epochs and warm_start
+    setting its start (the interior point ignores it).  Either way the
+    result is box feasible and converged means a duality gap of at most
+    tol, in objective units; otherwise the last iterate comes back with
+    converged=False.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
@@ -510,7 +580,7 @@ def train(
         )
         fvals, primal, gap = _certificate(alpha, g, data.y, lam, tv)
     else:
-        u, at_lo, at_up, iters = _interior_point(chol, data.y, lam, tv, max_iter)
+        u, at_lo, at_up, iters = gram_matrix.solution(data.y, lam, tv, max_iter)
         # crossover: snap to the bounds the multipliers select
         raw = np.clip(u / (2.0 * lam * n), lo, up)
         snapped = raw.copy()

@@ -146,6 +146,21 @@ def test_tv_svm_command(tmp_path):
     assert summary["chosen_lambda"] in [2.0**-j for j in range(30)]
 
 
+def test_tv_svm_summary_reports_each_lambda(tmp_path):
+    cfg = write_config(tmp_path, TRAIN_CFG)
+    out = tmp_path / "tv"
+    assert main(["tv-svm", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    report = (out / "report.csv").read_text().splitlines()
+    per = summary["per_lambda"]
+    # keyed and ordered as the report's lambda column, with no timing
+    assert list(per) == [line.split(",")[0] for line in report[1:]]
+    assert all(sorted(fit) == ["duality_gap", "iterations"] for fit in per.values())
+    assert all(isinstance(fit["iterations"], int) and fit["iterations"] >= 1
+               for fit in per.values())
+    assert max(fit["duality_gap"] for fit in per.values()) == summary["convergence"]["worst_gap"]
+
+
 def test_tv_svm_strict_grid_flag(tmp_path):
     cfg = write_config(tmp_path, TRAIN_CFG.replace("n = 40", "n = 10"))
     out = tmp_path / "tvs"

@@ -3,7 +3,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from kqr.distributions import dirac_atom_mixture, uniform_noise, sample_joint
-from kqr.kernels import GaussianKernel
+from kqr.kernels import GaussianKernel, PolynomialKernel
 from kqr.losses import Dataset, empirical_risk, pinball_loss
 from kqr.solver import (
     SvmModel,
@@ -241,9 +241,9 @@ def test_tv_svm_path_certified_down_to_tiny_lambda(monkeypatch, model, n, seed, 
 
 def test_tv_svm_factors_its_gram_once(monkeypatch):
     from kqr import solver
-    from kqr.experiments import lambda_grid, tv_svm
+    from kqr.experiments import _PATH_BLOCK, lambda_grid, tv_svm
 
-    calls = {"cholesky": 0, "eigvalsh": 0}
+    calls = {}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -253,17 +253,68 @@ def test_tv_svm_factors_its_gram_once(monkeypatch):
 
     monkeypatch.setattr(solver, "_pivoted_cholesky",
                         counting("cholesky", solver._pivoted_cholesky))
+    monkeypatch.setattr(solver, "_interior_point",
+                        counting("interior_point", solver._interior_point))
     monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
     data = sample_joint(uniform_noise(), 200, seed=15)
-    result = tv_svm(data, SPEC, lambda_grid(200), 0.5)
-    assert len(result.diagnostics) == len(lambda_grid(200).values)
-    # one factorization for the whole path, and it certifies the low-rank
-    # Gram PSD without an eigen-solve
-    assert calls == {"cholesky": 1, "eigvalsh": 0}
+    for grid in (lambda_grid(200), lambda_grid(12, "strict")):  # 17 and 144 lambdas
+        calls.update(cholesky=0, eigvalsh=0, interior_point=0)
+        result = tv_svm(data, SPEC, grid, 0.5)
+        assert len(result.diagnostics) == len(grid.values)
+        # one factorization for the whole path, and it certifies the low-rank
+        # Gram PSD without an eigen-solve; one Newton loop per block of lambdas
+        assert calls == {"cholesky": 1, "eigvalsh": 0,
+                         "interior_point": -(-len(grid.values) // _PATH_BLOCK)}
+
+
+@pytest.mark.parametrize("model, n, seed, spec, tau", [
+    (uniform_noise(halfwidth=0.5), 512, 11, SPEC, 0.5),
+    # exact ties in y: rounding that couples the rows of a block shows here
+    (dirac_atom_mixture(), 1024, 7, SPEC, 0.5),
+    (uniform_noise(), 300, 12, PolynomialKernel(degree=3), 0.3),
+], ids=["uniform", "dirac-atom", "cubic"])
+def test_tv_svm_fits_match_standalone_train(monkeypatch, model, n, seed, spec, tau):
+    from kqr import experiments
+    from kqr.experiments import lambda_grid, tv_svm
+
+    fits = []
+
+    def recording(*args, **kwargs):
+        model, diag = train(*args, **kwargs)
+        fits.append((args[0], model, diag))
+        return model, diag
+
+    monkeypatch.setattr(experiments, "train", recording)
+    data = sample_joint(model, n, seed=seed)
+    grid = lambda_grid(n)
+    tv_svm(data, spec, grid, tau, tol=1e-4, max_iter=300)
+    assert [m.lam for _, m, _ in fits] == list(grid.values)
+    for d1, fit, diag in fits:
+        alone, alone_diag = train(d1, spec, fit.lam, tau, 1e-4, 300)
+        assert np.array_equal(fit.coef, alone.coef), fit.lam
+        assert diag.iterations == alone_diag.iterations
+        assert diag.duality_gap == alone_diag.duality_gap
+
+
+def test_train_takes_a_stored_row_only_when_it_matches():
+    from kqr.kernels import gram
+    from kqr.solver import _prepare
+
+    data = sample_joint(uniform_noise(), 150, seed=13)
+    halved = Dataset(data.x, 0.5 * data.y)
+    lams = (2.0**-4, 2.0**-9)
+    # a row solved for tau 0.4, max_iter 300 and data.y serves none of these
+    for d, tau, max_iter in [(data, 0.6, 300), (data, 0.4, 5), (halved, 0.4, 300)]:
+        g = _prepare(gram(SPEC, data.x))
+        g.solve_block(data.y, lams, 0.4, 300)
+        fit, diag = train(d, SPEC, lams[1], tau, 1e-4, max_iter, gram_matrix=g)
+        alone, alone_diag = train(d, SPEC, lams[1], tau, 1e-4, max_iter)
+        assert np.array_equal(fit.coef, alone.coef)
+        assert diag.iterations == alone_diag.iterations
 
 
 def test_rank_four_polynomial_gram():
-    from kqr.kernels import PolynomialKernel, gram
+    from kqr.kernels import gram
     from kqr.solver import _pivoted_cholesky
 
     spec = PolynomialKernel(degree=3)
