@@ -2,10 +2,11 @@
 """Tour of the four synthetic conditional families.
 
 Each family owns an analytic conditional CDF, an exact quantile set, and a
-quantile-type certificate (q, b, alpha, gamma): the exponent q says how
-fast conditional mass accumulates just outside the quantile interval,
-which is precisely what the calibration inequalities trade on.  Smaller q
-means sharper concentration and easier quantile recovery.
+quantile-type certificate (q, b, alpha), with gamma = b alpha^(q-1): the
+exponent q says how fast conditional mass accumulates just outside the
+quantile interval, which is precisely what the calibration inequalities
+trade on.  Smaller q means sharper concentration and easier quantile
+recovery.
 """
 
 import numpy as np

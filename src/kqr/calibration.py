@@ -28,7 +28,6 @@ a function gets the same numbers alone as in a batch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -37,7 +36,7 @@ import numpy as np
 from .distributions import ConditionalModel, type_q_params
 from .inner_risk import excess_in_frame, noise_frame
 from .losses import tau_value
-from .util import csv_text, fmt17, segment_nodes
+from .util import segment_nodes
 
 __all__ = [
     "PiecewiseConstant",
@@ -96,8 +95,6 @@ def _nodes(model, frame, fs):
     """Weights integrating dP_X and s = f(x) - g(x) at the quadrature nodes of
     every f in fs; fs[i] owns the nodes bounds[i]:bounds[i + 1]."""
     calls = [i for i, f in enumerate(fs) if not isinstance(f, PiecewiseConstant)]
-    if calls and model.dim != 1:
-        raise NotImplementedError("quadrature checks are implemented for d=1")
     # one row per (function, cell); a callable's cells are _PANELS equal
     # panels of [-1, 1], with its values unknown (NaN) until it is called
     edges = np.linspace(-1.0, 1.0, _PANELS + 1)
@@ -200,7 +197,6 @@ def variance_term(model: ConditionalModel, tau, f) -> float:
 class CalibrationReport:
     """Per-test-function lhs/rhs records for one inequality sweep."""
 
-    kind: str                      # "self-calibration" or "variance-bound"
     lhs: np.ndarray
     rhs: np.ndarray
     params: dict
@@ -213,25 +209,6 @@ class CalibrationReport:
     @property
     def passed(self) -> bool:
         return bool(np.all(self.slack >= -self.tol))
-
-    def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "params": {k: (str(v) if v == math.inf else v) for k, v in self.params.items()},
-            "tol": self.tol,
-            "pass": self.passed,
-            "min_slack": float(np.min(self.slack)),
-            "rows": [
-                {"lhs": float(a), "rhs": float(b), "slack": float(b - a)}
-                for a, b in zip(self.lhs, self.rhs)
-            ],
-        }
-        return json.dumps(payload, indent=2)
-
-    def to_csv(self) -> str:
-        return csv_text(["index", "lhs", "rhs", "slack"],
-                        ([i, fmt17(a), fmt17(b), fmt17(b - a)]
-                         for i, (a, b) in enumerate(zip(self.lhs, self.rhs))))
 
 
 def _check(kind, model, tau, p, fs, *, tol) -> CalibrationReport:
@@ -254,7 +231,6 @@ def _check(kind, model, tau, p, fs, *, tol) -> CalibrationReport:
         const = 2.0 ** (2.0 - theta) * q**theta * gnorm**theta
     vals = _evaluate(model, tv, fs, ("excess", lhs_kind), r=r)
     return CalibrationReport(
-        kind=kind,
         lhs=vals[lhs_kind],
         rhs=const * np.maximum(vals["excess"], 0.0) ** exponent,
         params={"tau": tv, "p": p, "q": q, "r": r, "theta": theta, "gamma_inv_norm": gnorm},

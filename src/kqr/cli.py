@@ -78,8 +78,8 @@ _MODEL_FAMILIES = {
 
 
 def _constructor_keys(name: str) -> set:
-    """The [model] keys a family constructor takes by name (not dim)."""
-    return set(inspect.signature(getattr(distributions, name)).parameters) - {"location", "dim"}
+    """The [model] keys a family constructor takes by name."""
+    return set(inspect.signature(getattr(distributions, name)).parameters) - {"location"}
 
 
 def _location(section) -> SineLocation | ZeroLocation:
@@ -94,8 +94,8 @@ def _location(section) -> SineLocation | ZeroLocation:
 def build_model(section) -> ConditionalModel:
     """The [model] keys map onto the family constructor's parameters by name;
     a key left out takes the constructor's default and any other key is an
-    error.  dim stays 1, since the quadrature checks and the reports are
-    one-dimensional."""
+    error.  Every model has x in [-1, 1]: the quadrature checks and the
+    reports are one-dimensional."""
     family = section.get("family", "bounded-density-mixture")
     if family not in _MODEL_FAMILIES:
         raise ConfigError(f"unknown model family {family!r}")

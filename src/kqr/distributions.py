@@ -1,10 +1,10 @@
 """Synthetic conditional distributions with analytic quantile structure.
 
 Each model is a base noise law on [-halfwidth, halfwidth] shifted by a
-location function g, with x drawn uniformly from [-1,1]^d.  Because the
+location function g, with x drawn uniformly from [-1, 1].  Because the
 conditional law at x is a pure shift of the base law, quantile sets shift
-with g(x) while the quantile-type certificate (q, b, alpha, gamma) is the
-same at every x.
+with g(x) while the quantile-type certificate (q, b, alpha) is the same
+at every x.
 
 Four families are provided:
 
@@ -20,7 +20,6 @@ Four families are provided:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,12 +78,13 @@ class QuantileInterval:
 
 @dataclass(frozen=True)
 class TypeQParams:
-    """Certificate (q, b, alpha) with gamma = b * alpha**(q-1)."""
+    """Quantile type q with constants b and alpha: the law puts mass at least
+    b * s**(q-1) within s of the quantile set on each side, for s up to
+    alpha.  gamma = b * alpha**(q-1) is derived from the three."""
 
     q: float
     b: float
     alpha: float
-    gamma: float
 
     def __post_init__(self):
         if self.q < 1.0:
@@ -93,12 +93,10 @@ class TypeQParams:
             raise ValueError("b must be positive")
         if not 0.0 < self.alpha <= 2.0:
             raise ValueError("alpha must lie in (0, 2]")
-        if not math.isclose(self.gamma, self.b * self.alpha ** (self.q - 1.0), rel_tol=1e-12):
-            raise ValueError("gamma must equal b * alpha**(q-1)")
 
-    @classmethod
-    def make(cls, q: float, b: float, alpha: float) -> "TypeQParams":
-        return cls(q=q, b=b, alpha=alpha, gamma=b * alpha ** (q - 1.0))
+    @property
+    def gamma(self) -> float:
+        return self.b * self.alpha ** (self.q - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -162,21 +160,20 @@ class ConditionalModel:
     family: str
     noise: NoiseLaw
     location: SineLocation | ZeroLocation
-    halfwidth: float
-    dim: int = 1
-    floor: Optional[float] = None      # bounded-density-mixture: density floor
-    exponent: Optional[float] = None   # polynomial-density: p
-    scale: Optional[float] = None      # polynomial-density: density scale
-    atom: Optional[float] = None       # dirac-atom-mixture: atom location
+    dim = 1  # x is one-dimensional
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
         if self.location.amplitude + self.halfwidth > 1.0 + 1e-12:
             raise ValueError(
                 "location amplitude plus noise half-width must not exceed 1 "
                 "(conditional support must stay inside [-1, 1])"
             )
+
+    @property
+    def halfwidth(self) -> float:
+        """Half-width of the smallest centred interval holding the noise."""
+        lo, hi = self.noise.support
+        return max(-lo, hi)
 
     def g(self, xs) -> np.ndarray:
         return self.location(xs)
@@ -199,13 +196,13 @@ class ConditionalModel:
                 out["contaminant_weight"] = repr(atoms[0].mass)
                 out["contaminant_atom"] = repr(atoms[0].location)
         elif self.family == "polynomial-density":
-            out["exponent"] = repr(self.exponent)
+            out["exponent"] = repr(self.noise.pieces[0].exponent)
             atoms = self.noise.atoms
             if atoms:
                 out["contaminant_weight"] = repr(atoms[0].mass)
                 out["contaminant_atom"] = repr(atoms[0].location)
         elif self.family == "dirac-atom-mixture":
-            out["atom"] = repr(self.atom)
+            out["atom"] = repr(self.noise.atoms[0].location)
             out["uniform_weight"] = repr(sum(p.mass for p in self.noise.pieces))
         elif self.family == "two-atom":
             out["locations"] = " ".join(repr(a.location) for a in self.noise.atoms)
@@ -222,7 +219,6 @@ def bounded_density_mixture(
     contaminant_weight: float = 0.0,
     contaminant_atom: float = 0.0,
     location=None,
-    dim: int = 1,
 ) -> ConditionalModel:
     """Uniform density with floor (1-w)/2h, optionally mixed with an atom."""
     if not 0.0 <= contaminant_weight < 1.0:
@@ -236,15 +232,12 @@ def bounded_density_mixture(
         family="bounded-density-mixture",
         noise=NoiseLaw(pieces, atoms),
         location=_sine_or(location),
-        halfwidth=halfwidth,
-        dim=dim,
-        floor=floor,
     )
 
 
-def uniform_noise(halfwidth: float = 0.5, location=None, dim: int = 1) -> ConditionalModel:
+def uniform_noise(halfwidth: float = 0.5, location=None) -> ConditionalModel:
     """Pure uniform noise; the continuous reference family."""
-    return bounded_density_mixture(halfwidth=halfwidth, location=location, dim=dim)
+    return bounded_density_mixture(halfwidth=halfwidth, location=location)
 
 
 def polynomial_density(
@@ -253,7 +246,6 @@ def polynomial_density(
     contaminant_weight: float = 0.0,
     contaminant_atom: Optional[float] = None,
     location=None,
-    dim: int = 1,
 ) -> ConditionalModel:
     """Density (1-w) * c * |y|^p on [-h, h] with c normalizing the density.
 
@@ -279,10 +271,6 @@ def polynomial_density(
         family="polynomial-density",
         noise=NoiseLaw(pieces, atoms),
         location=_sine_or(location),
-        halfwidth=halfwidth,
-        dim=dim,
-        exponent=exponent,
-        scale=scale,
     )
 
 
@@ -291,7 +279,6 @@ def dirac_atom_mixture(
     uniform_weight: float = 0.15,
     halfwidth: float = 0.5,
     location=None,
-    dim: int = 1,
 ) -> ConditionalModel:
     """Atom of mass 1-w inside a uniform background of mass w on [-h, h]."""
     if not 0.0 < uniform_weight < 1.0:
@@ -309,9 +296,6 @@ def dirac_atom_mixture(
         family="dirac-atom-mixture",
         noise=NoiseLaw(pieces, atoms),
         location=_sine_or(location),
-        halfwidth=halfwidth,
-        dim=dim,
-        atom=atom,
     )
 
 
@@ -319,7 +303,6 @@ def two_atom(
     locations: tuple[float, float] = (-0.5, 0.5),
     weights: tuple[float, float] = (0.5, 0.5),
     location=None,
-    dim: int = 1,
 ) -> ConditionalModel:
     """Two point masses; every quantile level has a type-1 certificate."""
     a1, a2 = float(locations[0]), float(locations[1])
@@ -328,13 +311,10 @@ def two_atom(
         raise ValueError("atom locations must be increasing")
     if not (w1 > 0 and w2 > 0 and abs(w1 + w2 - 1.0) < 1e-12):
         raise ValueError("atom weights must be positive and sum to 1")
-    halfwidth = max(abs(a1), abs(a2))
     return ConditionalModel(
         family="two-atom",
         noise=NoiseLaw([], [Atom(a1, w1), Atom(a2, w2)]),
         location=_sine_or(location),
-        halfwidth=halfwidth,
-        dim=dim,
     )
 
 
@@ -366,14 +346,14 @@ def _certificate(model: ConditionalModel, tau: float) -> TypeQParams:
         alpha = min(t1 + w, w - t2)
         if alpha <= 0.0:
             raise CertificateError("quantile touches the support edge")
-        return TypeQParams.make(q=2.0, b=model.floor, alpha=min(alpha, 2.0))
+        return TypeQParams(q=2.0, b=law.pieces[0].scale, alpha=min(alpha, 2.0))
 
     if model.family == "polynomial-density":
-        p, s = model.exponent, model.scale
+        p, s = law.pieces[0].exponent, law.pieces[0].scale
         t_star = 0.5 * (t1 + t2)
         if abs(t_star) <= _CENTER_TOL:
             alpha = min(t1 + w, w - t2)
-            return TypeQParams.make(q=2.0 + p, b=s / (1.0 + p), alpha=min(alpha, 2.0))
+            return TypeQParams(q=2.0 + p, b=s / (1.0 + p), alpha=min(alpha, 2.0))
         # Off-center quantile: the density is bounded below near t*, which
         # yields a plain type-2 certificate.
         d = abs(t_star)
@@ -385,10 +365,10 @@ def _certificate(model: ConditionalModel, tau: float) -> TypeQParams:
             b = s * w**p
         if alpha <= 0.0:
             raise CertificateError("quantile touches the support edge")
-        return TypeQParams.make(q=2.0, b=b, alpha=min(alpha, 2.0))
+        return TypeQParams(q=2.0, b=b, alpha=min(alpha, 2.0))
 
     if model.family == "dirac-atom-mixture":
-        a = model.atom
+        a = law.atoms[0].location
         lo_level = law.cdf(a, strict=True)
         hi_level = law.cdf(a)
         if not lo_level < tau < hi_level:
@@ -397,7 +377,7 @@ def _certificate(model: ConditionalModel, tau: float) -> TypeQParams:
                 f"({lo_level}, {hi_level})"
             )
         b = min(tau - lo_level, hi_level - tau)
-        return TypeQParams.make(q=1.0, b=b, alpha=2.0)
+        return TypeQParams(q=1.0, b=b, alpha=2.0)
 
     if model.family == "two-atom":
         if t1 != t2:
@@ -410,7 +390,7 @@ def _certificate(model: ConditionalModel, tau: float) -> TypeQParams:
             b = min(tau - law.cdf(t1, strict=True), law.cdf(t1) - tau)
             if b <= 0.0:
                 raise CertificateError("tau sits at the edge of the atom's jump")
-        return TypeQParams.make(q=1.0, b=b, alpha=2.0)
+        return TypeQParams(q=1.0, b=b, alpha=2.0)
 
     raise CertificateError(f"unknown family {model.family!r}")
 

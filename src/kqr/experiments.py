@@ -28,6 +28,7 @@ from .solver import (
     _TOL,
     SolveDiagnostics,
     SvmModel,
+    _check_stopping,
     _prepare,
     predict_clipped,
     train,
@@ -135,11 +136,13 @@ def tv_svm(
     of a train call at that lambda alone.  Coordinate descent, on a Gram
     past the rank cutoff, is warm-started along the path (the dual box
     rescales exactly by the ratio of consecutive lambdas).  A fit converged
-    when its duality gap is at most tol.
+    when its duality gap is at most tol.  A tol that is NaN or negative, or
+    max_iter < 1, raises ValueError before the Gram is built.
     """
     n = len(data)
     if n < 3:
         raise ValueError("training-validation split needs n >= 3")
+    _check_stopping(tol, max_iter)
     tv = tau_value(tau)
     m = n // 2 + 1
     d1, d2 = data.subset(0, m), data.subset(m, n)
@@ -233,6 +236,7 @@ class RateConfig:
         theoretical_theta(self.p, self.q)
         if self.rho is not None:
             _check_rho(self.rho)
+        _check_stopping(self.tol, self.max_iter)
 
 
 @dataclass(frozen=True)

@@ -128,8 +128,8 @@ class SvmModel:
         co = np.ascontiguousarray(np.asarray(self.coef, dtype=float).ravel())
         if sx.shape[0] != co.shape[0]:
             raise ValueError("support/coefficient length mismatch")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be finite and positive")
         sx.flags.writeable = False
         co.flags.writeable = False
         object.__setattr__(self, "support_x", sx)
@@ -173,6 +173,14 @@ def objective(model: SvmModel, data: Dataset) -> float:
     def f(xs):
         return np.atleast_1d(predict(model, xs))
     return model.lam * reg + empirical_risk(model.tau, data, f)
+
+
+def _check_stopping(tol, max_iter) -> None:
+    """Reject a stopping rule that leaves every fit uncertified."""
+    if not tol >= 0:
+        raise ValueError("tol must be >= 0")
+    if not max_iter >= 1:
+        raise ValueError("max_iter must be >= 1")
 
 
 def _bounds(tau: float, lam: float, n: int) -> tuple[float, float]:
@@ -563,10 +571,12 @@ def train(
     setting its start (the interior point ignores it).  Either way the
     result is box feasible and converged means a duality gap of at most
     tol, in objective units; otherwise the last iterate comes back with
-    converged=False.
+    converged=False.  A lambda that is not finite and positive, a tol that
+    is NaN or negative, or max_iter < 1 raises ValueError before any work.
     """
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError("lambda must be finite and positive")
+    _check_stopping(tol, max_iter)
     tv = tau_value(tau)
     n = len(data)
     if not isinstance(gram_matrix, _Gram):

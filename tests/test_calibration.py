@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -154,18 +153,6 @@ def test_monotone_consistency(all_families):
 
         if excess_risk(model, 0.5, f_star) <= 1e-12:
             assert dist_norm(model, 0.5, f_star, 2.0) <= 1e-8
-
-
-def test_report_serialization(unit_uniform):
-    fs = random_test_functions(4, 5, seed=1)
-    rep = check_self_calibration(unit_uniform, 0.5, math.inf, fs)
-    payload = json.loads(rep.to_json())
-    assert payload["pass"] is True
-    assert len(payload["rows"]) == 5
-    csv_text = rep.to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "index,lhs,rhs,slack"
-    assert len(lines) == 6
 
 
 def test_function_values_validated(unit_uniform):

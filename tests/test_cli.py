@@ -322,6 +322,31 @@ def test_bad_rates_exponents_exit_2_before_any_fit(tmp_path, monkeypatch):
         assert not out.exists()
 
 
+def test_bad_solver_settings_exit_2_before_any_gram(tmp_path, monkeypatch):
+    from kqr import experiments, solver
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram was prepared before the settings were validated")
+
+    monkeypatch.setattr(solver, "_prepare", refuse)
+    monkeypatch.setattr(experiments, "_prepare", refuse)
+    svm_cases = [("tol = 1e-6", "tol = nan"), ("tol = 1e-6", "tol = -1"),
+                 ("tau = 0.5", "tau = 0.5\nmax_iter = 0"),
+                 ("tau = 0.5", "tau = 0.5\nmax_iter = -5")]
+    cases = [("train", TRAIN_CFG.replace("lambda = 0.05", bad)) for bad in
+             ("lambda = nan", "lambda = inf", "lambda = -inf", "lambda = 0")]
+    cases += [(command, TRAIN_CFG.replace(*case))
+              for command in ("train", "tv-svm") for case in svm_cases]
+    cases += [("rates", RATES_CFG.replace(*case)) for case in
+              [("tol = 1e-4", "tol = nan"), ("tol = 1e-4", "tol = -1"),
+               ("max_iter = 100", "max_iter = 0")]]
+    for i, (command, text) in enumerate(cases):
+        cfg = write_config(tmp_path, text, f"case{i}.ini")
+        out = tmp_path / f"o{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2, (command, text)
+        assert not out.exists()
+
+
 def test_negative_tolerance_exits_2(tmp_path):
     for i, command in enumerate(["check-calibration", "check-variance", "check-inner-risk"]):
         cfg = write_config(tmp_path, CHECK_CFG.replace("tolerance = 1e-8", "tolerance = -1"),

@@ -83,9 +83,56 @@ def test_type_q_params_examples():
 
 def test_typeq_invariant():
     with pytest.raises(ValueError):
-        TypeQParams(q=2, b=1.0, alpha=0.5, gamma=0.7)
-    with pytest.raises(ValueError):
-        TypeQParams.make(q=2, b=1.0, alpha=2.5)
+        TypeQParams(q=2, b=1.0, alpha=2.5)
+    assert TypeQParams(q=3, b=0.5, alpha=0.5).gamma == 0.5 * 0.5**2
+
+
+# (model, the half-width it was built with, certificate (q, b, alpha, gamma)
+# at tau = 0.1, 0.5, 0.9, None where there is none); literal floats, so a
+# read of the wrong noise piece or atom shows in the last bit
+DERIVED_READS = [
+    (bounded_density_mixture(halfwidth=0.4), 0.4, [
+        (2.0, 1.25, 0.08000000000000002, 0.10000000000000002),
+        (2.0, 1.25, 0.4, 0.5),
+        (2.0, 1.25, 0.08000000000000007, 0.10000000000000009)]),
+    (bounded_density_mixture(halfwidth=0.45, contaminant_weight=0.1, contaminant_atom=0.2),
+     0.45, [
+        (2.0, 1.0, 0.10000000000000003, 0.10000000000000003),
+        (2.0, 1.0, 0.4, 0.4),
+        (2.0, 1.0, 0.09999999999999998, 0.09999999999999998)]),
+    (polynomial_density(exponent=1.5, halfwidth=0.4), 0.4, [
+        (2.0, 0.9664046709718492, 0.0341559584581389, 0.033008477795465875),
+        (3.5, 4.941058844013092, 0.4, 0.5),
+        (2.0, 0.9664046709718491, 0.03415595845813896, 0.033008477795465924)]),
+    (polynomial_density(exponent=1.5, halfwidth=0.4, contaminant_weight=0.1,
+                        contaminant_atom=0.15), 0.4, [
+        (2.0, 0.8551865383970871, 0.03825527779125265, 0.03271539858972032),
+        (2.0, 0.22834654201347498, 0.075, 0.017125990651010625),
+        (2.0, 0.8551865383970871, 0.03825527779125265, 0.03271539858972032)]),
+    (dirac_atom_mixture(atom=0.1, uniform_weight=0.2), 0.5, [
+        None,
+        (1.0, 0.38, 2.0, 0.38),
+        (1.0, 0.020000000000000018, 2.0, 0.020000000000000018)]),
+    (two_atom(locations=(0.1, 0.4)), 0.4, [
+        (1.0, 0.1, 2.0, 0.1),
+        (1.0, 0.5, 2.0, 0.5),
+        (1.0, 0.09999999999999998, 2.0, 0.09999999999999998)]),
+]
+
+
+@pytest.mark.parametrize("model, halfwidth, certificates", DERIVED_READS, ids=[
+    "bounded", "bounded-atom", "polynomial", "polynomial-atom", "dirac-atom", "two-atom"])
+def test_derived_reads_reproduce_certificates(model, halfwidth, certificates):
+    """The half-width and the certificate come from the noise law alone and
+    reproduce, bit for bit, what each family's constructor arguments give."""
+    assert model.halfwidth == halfwidth
+    for tau, want in zip((0.1, 0.5, 0.9), certificates):
+        if want is None:
+            with pytest.raises(CertificateError):
+                type_q_params(model, X0, tau)
+        else:
+            got = type_q_params(model, X0, tau)
+            assert (got.q, got.b, got.alpha, got.gamma) == want
 
 
 def test_dirac_certificate_window():

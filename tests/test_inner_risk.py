@@ -64,7 +64,6 @@ def test_min_inner_risk_point_mass_balance():
         family="two-atom",
         noise=NoiseLaw([], [Atom(0.0, 1.0)]),
         location=ZeroLocation(),
-        halfwidth=0.0,
     )
     prof = min_inner_risk(point, X0, 0.3)
     assert (prof.quantile.t_min, prof.quantile.t_max) == (0.0, 0.0)
@@ -177,9 +176,9 @@ def test_lower_pol_dominates_power(alpha, q):
 
 
 def test_self_cal_lower_bound_values():
-    assert self_cal_lower_bound(TypeQParams.make(2, 0.5, 1.0), 0.4) == pytest.approx(0.02)
-    assert self_cal_lower_bound(TypeQParams.make(2, 0.5, 1.0), 0.0) == 0.0
-    assert self_cal_lower_bound(TypeQParams.make(1, 0.5, 2.0), 1.0) == pytest.approx(0.5)
+    assert self_cal_lower_bound(TypeQParams(2, 0.5, 1.0), 0.4) == pytest.approx(0.02)
+    assert self_cal_lower_bound(TypeQParams(2, 0.5, 1.0), 0.0) == 0.0
+    assert self_cal_lower_bound(TypeQParams(1, 0.5, 2.0), 1.0) == pytest.approx(0.5)
 
 
 def test_self_calibration_dominates_lower_bound(all_families):

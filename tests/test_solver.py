@@ -104,10 +104,16 @@ def test_dual_box_feasible_exactly():
         assert np.all(m.coef >= lo) and np.all(m.coef <= up)
 
 
-def test_dual_objective_monotone():
+def test_dual_objective_monotone(monkeypatch):
+    from kqr import solver
+
+    # a Gaussian Gram has low rank: force coordinate descent, whose
+    # dual_history holds one value per epoch
+    monkeypatch.setattr(solver, "_RANK_CUTOFF", 0)
     data = sample_joint(uniform_noise(), 120, seed=4)
     _, diag = train(data, SPEC, 0.01, 0.5, tol=1e-10, max_iter=60)
     h = np.array(diag.dual_history)
+    assert len(h) > 1
     scale = max(1.0, np.abs(h).max())
     assert np.all(np.diff(h) <= 1e-9 * scale)
 
@@ -188,6 +194,15 @@ def test_psd_check_no_weaker_than_eigenvalues():
     assert np.linalg.eigvalsh(g)[0] < -1e-7
     with pytest.raises(ValueError, match="PSD"):
         train(data, SPEC, 0.1, 0.5, gram_matrix=g)
+
+
+def test_model_with_nonfinite_lambda_does_not_load():
+    data = sample_joint(uniform_noise(), 25, seed=8)
+    m, _ = train(data, SPEC, 0.02, 0.7, tol=1e-8)
+    text = model_to_json(m)
+    for bad in ("nan", "inf"):
+        with pytest.raises(ValueError, match="lambda"):
+            model_from_json(text.replace(float(m.lam).hex(), bad))
 
 
 def test_serialization_bit_faithful():
