@@ -41,8 +41,9 @@ from .experiments import (
     learning_rate_experiment,
     tv_svm,
 )
-from .inner_risk import excess_inner_risk, inner_risk, min_inner_risk
+from .inner_risk import excess_in_frame, noise_frame
 from .kernels import _FAMILIES as _KERNELS, fit_power_law, gram_spectrum, kernel_spec_from_dict
+from .losses import tau_value
 from .solver import SvmModel, model_to_json, train
 from .util import csv_text, derive_rng, derive_seed_sequence, fmt17
 
@@ -196,19 +197,28 @@ def _cmd_check_inner_risk(cfg, seed: int, strict_grid: bool) -> Outcome:
     n_x = check.getint("xs", 20)
     n_t = check.getint("t_points", 50)
     tol = check.getfloat("tolerance", 1e-8)
+    if not taus:
+        raise ConfigError("[check] taus needs at least one value")
+    if n_x < 1 or n_t < 1:
+        raise ConfigError("[check] xs and t_points must be >= 1")
     if not tol >= 0:
         raise ConfigError("[check] tolerance must be >= 0")
     rng = derive_rng(seed, "inner-risk-xs")
     xs = rng.uniform(-1.0, 1.0, size=(n_x, model.dim))
     ts = np.linspace(-1.0, 1.0, n_t)
+    # each tau over all xs at once: t - g(x) in the noise frame, (xs x ts)
+    t_noise = ts - np.array([model.g_scalar(x) for x in xs])[:, None]
+    closed, direct = [], []
+    for tau in taus:
+        frame = noise_frame(model.noise, tau_value(tau))
+        c_star = float(model.noise.pinball(frame.tau, frame.t1))
+        closed.append(excess_in_frame(frame, t_noise))
+        direct.append(model.noise.pinball(frame.tau, t_noise) - c_star)
     rows = []
     worst = 0.0
-    for xi, x in enumerate(xs):
-        for tau in taus:
-            prof = min_inner_risk(model, x, tau)
-            closed = excess_inner_risk(model, x, tau, ts)
-            direct = inner_risk(model, x, tau, ts) - prof.c_star
-            for t, a, b in zip(ts, closed, direct):
+    for xi in range(n_x):
+        for ti, tau in enumerate(taus):
+            for t, a, b in zip(ts, closed[ti][xi], direct[ti][xi]):
                 err = float(abs(a - b))
                 worst = max(worst, err)
                 rows.append([xi, fmt17(tau), fmt17(t), fmt17(a), fmt17(b), fmt17(err)])
@@ -231,6 +241,8 @@ def _check_inequality(cfg, seed: int, checker) -> Outcome:
         raise ConfigError("[check] taus and ps need at least one value each")
     cells = check.getint("cells", 8)
     count = check.getint("count", 1000)
+    if count < 1:
+        raise ConfigError("[check] count must be >= 1")
     options = {"tol": check.getfloat("tolerance")} if "tolerance" in check else {}
     rows = []
     min_slack, where = math.inf, None

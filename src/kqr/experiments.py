@@ -61,6 +61,8 @@ class LambdaGrid:
         vals = tuple(sorted(set(float(v) for v in self.values), reverse=True))
         if not vals:
             raise ValueError("grid must be nonempty")
+        if not all(map(math.isfinite, vals)):  # NaN does not sort, so test every value
+            raise ValueError("grid values must be finite")
         if vals[0] > 1.0 or vals[-1] <= 0.0:
             raise ValueError("grid values must lie in (0, 1]")
         object.__setattr__(self, "values", vals)

@@ -5,6 +5,12 @@ A law is a convex combination of point masses and power-density pieces
 Everything downstream (CDFs, quantile sets, partial moments, pinball
 integrals) reduces to closed-form antiderivatives of these pieces, so no
 generic numeric quadrature is involved on the y-axis.
+
+Each quantity is evaluated once.  A law computes its support, breakpoints,
+total mean and the CDF levels P(Y <= z) and P(Y < z) at its breakpoints on
+first use and keeps them, so every quantile query only scans the stored
+levels.  ``cdf`` evaluates the zeroth moment of each piece alone, and a
+piece takes sign(u) and |u| once per interval end for all its moments.
 """
 
 from __future__ import annotations
@@ -49,28 +55,41 @@ class PowerPiece:
         if self.lo < self.anchor < self.hi:
             raise ValueError("anchor must not lie strictly inside the piece")
 
-    # Antiderivatives in u = y - anchor. J0/J2 are odd, J1 even.
-    def _j0(self, u):
+    # Antiderivatives in u = y - anchor, from sign(u) and |u|. J0/J2 are
+    # odd, J1 even.
+    def _j0(self, s, r):
         p = self.exponent
-        return np.sign(u) * np.abs(u) ** (p + 1.0) / (p + 1.0)
+        return s * r ** (p + 1.0) / (p + 1.0)
 
-    def _j1(self, u):
+    def _j1(self, r):
         p = self.exponent
-        return np.abs(u) ** (p + 2.0) / (p + 2.0)
+        return r ** (p + 2.0) / (p + 2.0)
 
-    def _j2(self, u):
+    def _j2(self, s, r):
         p = self.exponent
-        return np.sign(u) * np.abs(u) ** (p + 3.0) / (p + 3.0)
+        return s * r ** (p + 3.0) / (p + 3.0)
+
+    def _ends(self, a, b):
+        """sign(u) and |u| at both ends of [a, b] clipped to the piece."""
+        # minimum/maximum clip as np.clip does, without its Python wrapper
+        a = np.minimum(np.maximum(np.asarray(a, dtype=float), self.lo), self.hi)
+        b = np.minimum(np.maximum(np.asarray(b, dtype=float), self.lo), self.hi)
+        b = np.maximum(a, b)
+        ua, ub = a - self.anchor, b - self.anchor
+        return np.sign(ua), np.abs(ua), np.sign(ub), np.abs(ub)
+
+    def mass_between(self, a, b):
+        """m0 of the density over [a, b] clipped to the piece: the zeroth
+        moment alone, the same expression as in `moments`."""
+        sa, ra, sb, rb = self._ends(a, b)
+        return self.scale * (self._j0(sb, rb) - self._j0(sa, ra))
 
     def moments(self, a, b):
         """(m0, m1, m2) of the density over [a, b] clipped to the piece."""
-        a = np.clip(np.asarray(a, dtype=float), self.lo, self.hi)
-        b = np.clip(np.asarray(b, dtype=float), self.lo, self.hi)
-        b = np.maximum(a, b)
-        ua, ub = a - self.anchor, b - self.anchor
-        d0 = self._j0(ub) - self._j0(ua)
-        d1 = self._j1(ub) - self._j1(ua)
-        d2 = self._j2(ub) - self._j2(ua)
+        sa, ra, sb, rb = self._ends(a, b)
+        d0 = self._j0(sb, rb) - self._j0(sa, ra)
+        d1 = self._j1(rb) - self._j1(ra)
+        d2 = self._j2(sb, rb) - self._j2(sa, ra)
         c = self.anchor
         m0 = self.scale * d0
         m1 = self.scale * (d1 + c * d0)
@@ -79,19 +98,25 @@ class PowerPiece:
 
     @property
     def mass(self) -> float:
-        return float(self.moments(self.lo, self.hi)[0])
+        return float(self.mass_between(self.lo, self.hi))
 
     def ppf_from_lo(self, m):
         """y with piece-mass m accumulated from lo; m may be an array."""
         m = np.asarray(m, dtype=float)
         p = self.exponent
-        target = self._j0(self.lo - self.anchor) + m / self.scale
+        u_lo = self.lo - self.anchor
+        target = self._j0(np.sign(u_lo), np.abs(u_lo)) + m / self.scale
         u = np.sign(target) * ((p + 1.0) * np.abs(target)) ** (1.0 / (p + 1.0))
         return np.clip(self.anchor + u, self.lo, self.hi)
 
 
 class NoiseLaw:
-    """Probability law on an interval: atoms plus power-density pieces."""
+    """Probability law on an interval: atoms plus power-density pieces.
+
+    The law is immutable, and what depends on it alone (support,
+    breakpoints, total mean, the CDF levels at the breakpoints) is computed
+    once per law, on first use.
+    """
 
     def __init__(self, pieces=(), atoms=()):
         pieces = tuple(sorted(pieces, key=lambda p: p.lo))
@@ -128,6 +153,16 @@ class NoiseLaw:
         return out
 
     @cached_property
+    def _levels(self) -> tuple[np.ndarray, np.ndarray]:
+        """P(Y <= z) and P(Y < z) at each breakpoint z, one scalar cdf each."""
+        z = self.breakpoints
+        f = np.array([self.cdf(v) for v in z])
+        fl = np.array([self.cdf(v, strict=True) for v in z])
+        f.flags.writeable = False
+        fl.flags.writeable = False
+        return f, fl
+
+    @cached_property
     def _atom_locs(self) -> np.ndarray:
         return np.array([a.location for a in self.atoms])
 
@@ -153,11 +188,13 @@ class NoiseLaw:
         return out
 
     def cdf(self, y, strict: bool = False):
-        """P(Y <= y), or P(Y < y) when strict=True. Vectorized in y."""
+        """P(Y <= y), or P(Y < y) when strict=True. Vectorized in y.
+
+        Each piece contributes its zeroth moment alone, up to y."""
         y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape)
         for p in self.pieces:
-            out = out + p.moments(p.lo, y)[0]
+            out = out + p.mass_between(p.lo, y)
         for a in self.atoms:
             hit = (y > a.location) if strict else (y >= a.location)
             out = out + np.where(hit, a.mass, 0.0)
@@ -212,12 +249,12 @@ class NoiseLaw:
         return None
 
     def quantile_interval(self, tau: float) -> tuple[float, float]:
-        """Exact [t_min, t_max] of the tau-quantile set."""
+        """Exact [t_min, t_max] of the tau-quantile set, by a scan of the
+        law's stored CDF levels at its breakpoints."""
         if not 0.0 < tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
         z = self.breakpoints
-        f = np.array([self.cdf(v) for v in z])
-        fl = np.array([self.cdf(v, strict=True) for v in z])
+        f, fl = self._levels
 
         # t_min = inf{t : F(t) >= tau}
         t_min = z[-1]
@@ -234,7 +271,7 @@ class NoiseLaw:
                         t_min = float(z[k])
                     else:
                         piece = self._piece_covering(z[k - 1], z[k])
-                        base = piece.moments(piece.lo, z[k - 1])[0]
+                        base = piece.mass_between(piece.lo, z[k - 1])
                         t_min = float(piece.ppf_from_lo(base + need))
                 else:
                     t_min = float(z[k])
@@ -255,7 +292,7 @@ class NoiseLaw:
                     elif need >= seg_mass:
                         t_max = float(z[k + 1])
                     else:
-                        base = piece.moments(piece.lo, z[k])[0]
+                        base = piece.mass_between(piece.lo, z[k])
                         t_max = float(piece.ppf_from_lo(base + need))
                 break
 

@@ -109,6 +109,50 @@ def test_check_inner_risk(tmp_path):
     assert body[0] == "x_index,tau,t,closed_form,direct,abs_err"
 
 
+INNER_RISK_MODELS = [
+    "family = bounded-density-mixture",
+    "family = uniform\nhalfwidth = 0.3",
+    "family = polynomial-density",
+    "family = dirac-atom-mixture",
+    "family = two-atom",
+    "family = bounded-density-mixture\ncontaminant_weight = 0.2\ncontaminant_atom = 0.1",
+    "family = polynomial-density\nexponent = 1.5\ncontaminant_weight = 0.3\n"
+    "contaminant_atom = -0.2",
+]
+
+
+@pytest.mark.parametrize("model", INNER_RISK_MODELS)
+def test_check_inner_risk_matches_reference_loop(tmp_path, model):
+    """check-inner-risk evaluates each tau over all xs at once; its report is
+    byte for byte the one built from per-(x, tau) library calls."""
+    import numpy as np
+
+    from kqr.cli import build_model, load_config
+    from kqr.inner_risk import excess_inner_risk, inner_risk, min_inner_risk
+    from kqr.util import csv_text, derive_rng, fmt17
+
+    cfg = write_config(tmp_path, f"[run]\nseed = 4\n\n[model]\n{model}\n\n"
+                                 "[check]\ntaus = 0.1 0.5 0.9\nxs = 7\nt_points = 23\n")
+    assert main(["check-inner-risk", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+    reference = build_model(load_config(cfg)["model"])
+    xs = derive_rng(4, "inner-risk-xs").uniform(-1.0, 1.0, size=(7, 1))
+    ts = np.linspace(-1.0, 1.0, 23)
+    rows, worst = [], 0.0
+    for xi, x in enumerate(xs):
+        for tau in (0.1, 0.5, 0.9):
+            c_star = min_inner_risk(reference, x, tau).c_star
+            closed = excess_inner_risk(reference, x, tau, ts)
+            direct = inner_risk(reference, x, tau, ts) - c_star
+            for t, a, b in zip(ts, closed, direct):
+                err = float(abs(a - b))
+                worst = max(worst, err)
+                rows.append([xi, fmt17(tau), fmt17(t), fmt17(a), fmt17(b), fmt17(err)])
+    want = csv_text(["x_index", "tau", "t", "closed_form", "direct", "abs_err"], rows)
+    assert (tmp_path / "o" / "report.csv").read_text() == want
+    assert json.loads((tmp_path / "o" / "summary.json").read_text())["max_abs_err"] == worst
+
+
 def test_byte_identical_reruns(tmp_path):
     cfg = write_config(tmp_path, CHECK_CFG)
     out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -353,6 +397,26 @@ def test_negative_tolerance_exits_2(tmp_path):
                            f"case{i}.ini")
         out = tmp_path / f"o{i}"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2, command
+        assert not out.exists()
+
+
+def test_checks_of_nothing_exit_2_before_any_work(tmp_path, monkeypatch):
+    from kqr.noise import NoiseLaw
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a check ran before its size was validated")
+
+    monkeypatch.setattr(NoiseLaw, "quantile_interval", refuse)
+    cases = [("check-calibration", CHECK_CFG.replace("count = 25", "count = 0")),
+             ("check-variance", CHECK_CFG.replace("count = 25", "count = 0")),
+             ("check-calibration", CHECK_CFG.replace("count = 25", "count = -1")),
+             ("check-inner-risk", CHECK_CFG + "xs = 0\n"),
+             ("check-inner-risk", CHECK_CFG + "t_points = 0\n"),
+             ("check-inner-risk", CHECK_CFG.replace("taus = 0.5", "taus ="))]
+    for i, (command, text) in enumerate(cases):
+        cfg = write_config(tmp_path, text, f"case{i}.ini")
+        out = tmp_path / f"o{i}"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2, (command, text)
         assert not out.exists()
 
 

@@ -51,6 +51,15 @@ def test_lambda_grid_geometric():
         lambda_grid(10, "other")
 
 
+def test_lambda_grid_rejects_non_finite_values():
+    # NaN does not sort, so a check of the first and last value misses it
+    from kqr.experiments import LambdaGrid
+
+    for values in [(0.5, math.nan, 0.25), (math.nan,), (0.5, math.inf), (-math.inf, 0.5)]:
+        with pytest.raises(ValueError):
+            LambdaGrid(values=values, mode="geometric")
+
+
 def test_tv_svm_split_sizes():
     data = sample_joint(uniform_noise(), 7, seed=1)
     res = tv_svm(data, SPEC, lambda_grid(7, "geometric"), 0.5, tol=1e-4)

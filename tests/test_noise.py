@@ -184,3 +184,156 @@ def test_sampling_deterministic():
     a = law.sample(np.random.default_rng(7), 100)
     b = law.sample(np.random.default_rng(7), 100)
     assert np.array_equal(a, b)
+
+
+# -- reference tests: the noise layer against the loops it replaced ---------------
+#
+# The arithmetic of cdf, moments and quantile_interval was kept when each
+# quantity came to be computed once, so each must match its reference bit
+# for bit (np.array_equal), not to a tolerance.
+
+
+def reference_laws():
+    """The noise laws of the five families, plus contaminated variants."""
+    from kqr import distributions as d
+
+    models = [
+        d.bounded_density_mixture(),
+        d.uniform_noise(halfwidth=0.3),
+        d.polynomial_density(),
+        d.polynomial_density(exponent=-0.5),
+        d.dirac_atom_mixture(),
+        d.two_atom(),
+        d.bounded_density_mixture(contaminant_weight=0.2, contaminant_atom=0.1),
+        d.polynomial_density(exponent=1.5, contaminant_weight=0.3, contaminant_atom=-0.2),
+    ]
+    return [m.noise for m in models]
+
+
+def reference_moments(piece, a, b):
+    """PowerPiece.moments as first written: np.clip, and sign(u) and |u|
+    taken again in each antiderivative."""
+    p = piece.exponent
+
+    def j0(u):
+        return np.sign(u) * np.abs(u) ** (p + 1.0) / (p + 1.0)
+
+    def j1(u):
+        return np.abs(u) ** (p + 2.0) / (p + 2.0)
+
+    def j2(u):
+        return np.sign(u) * np.abs(u) ** (p + 3.0) / (p + 3.0)
+
+    a = np.clip(np.asarray(a, dtype=float), piece.lo, piece.hi)
+    b = np.clip(np.asarray(b, dtype=float), piece.lo, piece.hi)
+    b = np.maximum(a, b)
+    ua, ub = a - piece.anchor, b - piece.anchor
+    d0, d1, d2 = j0(ub) - j0(ua), j1(ub) - j1(ua), j2(ub) - j2(ua)
+    c = piece.anchor
+    return (piece.scale * d0, piece.scale * (d1 + c * d0),
+            piece.scale * (d2 + 2.0 * c * d1 + c * c * d0))
+
+
+def reference_cdf(law, y, strict):
+    """The sum over pieces of moments(p.lo, y)[0] plus the atoms, clipped."""
+    y = np.asarray(y, dtype=float)
+    out = np.zeros(y.shape)
+    for p in law.pieces:
+        out = out + p.moments(p.lo, y)[0]
+    for a in law.atoms:
+        hit = (y > a.location) if strict else (y >= a.location)
+        out = out + np.where(hit, a.mass, 0.0)
+    out = np.clip(out, 0.0, 1.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_quantile_interval(law, tau):
+    """quantile_interval as first written: one scalar cdf per breakpoint and
+    level, on every call."""
+    z = law.breakpoints
+    f = np.array([law.cdf(v) for v in z])
+    fl = np.array([law.cdf(v, strict=True) for v in z])
+    t_min = z[-1]
+    for k in range(len(z)):
+        if f[k] >= tau:
+            if fl[k] >= tau and k > 0:
+                need = tau - f[k - 1]
+                if need >= fl[k] - f[k - 1]:
+                    t_min = float(z[k])
+                else:
+                    piece = law._piece_covering(z[k - 1], z[k])
+                    base = piece.moments(piece.lo, z[k - 1])[0]
+                    t_min = float(piece.ppf_from_lo(base + need))
+            else:
+                t_min = float(z[k])
+            break
+    t_max = z[0]
+    for k in range(len(z) - 1, -1, -1):
+        if fl[k] <= tau:
+            if f[k] > tau or k == len(z) - 1:
+                t_max = float(z[k])
+            else:
+                piece = law._piece_covering(z[k], z[k + 1])
+                need = tau - f[k]
+                if piece is None or need <= 0.0:
+                    t_max = float(z[k])
+                elif need >= fl[k + 1] - f[k]:
+                    t_max = float(z[k + 1])
+                else:
+                    base = piece.moments(piece.lo, z[k])[0]
+                    t_max = float(piece.ppf_from_lo(base + need))
+            break
+    if t_max < t_min:
+        t_min = t_max = 0.5 * (t_min + t_max)
+    return t_min, t_max
+
+
+def _probe_points(law):
+    z = law.breakpoints
+    return np.concatenate([np.linspace(-0.7, 0.7, 281), z, np.nextafter(z, -1.0),
+                           np.nextafter(z, 1.0), [-0.0, 0.0]])
+
+
+def test_piece_moments_match_reference():
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-0.7, 0.7, 400)
+    b = a + rng.uniform(-0.2, 0.6, 400)
+    for law in reference_laws():
+        for p in law.pieces:
+            ends = [(a, b), (p.lo, _probe_points(law)), (_probe_points(law), p.hi)]
+            ends += [(float(x), float(y)) for x, y in zip(a[:40], b[:40])]
+            for lo, hi in ends:
+                for got, want in zip(p.moments(lo, hi), reference_moments(p, lo, hi)):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(p.mass_between(lo, hi), reference_moments(p, lo, hi)[0])
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_cdf_matches_reference(strict):
+    for law in reference_laws():
+        ys = _probe_points(law)
+        assert np.array_equal(law.cdf(ys, strict=strict), reference_cdf(law, ys, strict))
+        grid = np.vstack([ys, -ys])
+        assert np.array_equal(law.cdf(grid, strict=strict), reference_cdf(law, grid, strict))
+        for y in ys:
+            got = law.cdf(y, strict=strict)
+            assert isinstance(got, float) and got == reference_cdf(law, y, strict)
+
+
+def test_quantile_interval_matches_reference(monkeypatch):
+    for law in reference_laws():
+        z = law.breakpoints
+        levels = np.concatenate([[law.cdf(v) for v in z], [law.cdf(v, strict=True) for v in z]])
+        levels = levels[(levels > 0.0) & (levels < 1.0)]
+        taus = np.concatenate([np.linspace(0.005, 0.995, 199), levels,
+                               np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)])
+        want = [reference_quantile_interval(law, tau) for tau in taus]
+        got = [law.quantile_interval(tau) for tau in taus]
+        assert np.array_equal(got, want)
+
+        # the levels are computed once per law: later queries call no cdf
+        def refuse(*args, **kwargs):
+            raise AssertionError("quantile_interval evaluated the CDF again")
+
+        monkeypatch.setattr(law, "cdf", refuse)
+        assert [law.quantile_interval(tau) for tau in taus] == got
