@@ -214,14 +214,15 @@ def _cmd_check_inner_risk(cfg, seed: int, strict_grid: bool) -> Outcome:
         c_star = float(model.noise.pinball(frame.tau, frame.t1))
         closed.append(excess_in_frame(frame, t_noise))
         direct.append(model.noise.pinball(frame.tau, t_noise) - c_star)
+    tau_text, t_text = [fmt17(tau) for tau in taus], [fmt17(t) for t in ts]
     rows = []
     worst = 0.0
     for xi in range(n_x):
-        for ti, tau in enumerate(taus):
-            for t, a, b in zip(ts, closed[ti][xi], direct[ti][xi]):
+        for ti in range(len(taus)):
+            for t, a, b in zip(t_text, closed[ti][xi], direct[ti][xi]):
                 err = float(abs(a - b))
                 worst = max(worst, err)
-                rows.append([xi, fmt17(tau), fmt17(t), fmt17(a), fmt17(b), fmt17(err)])
+                rows.append([xi, tau_text[ti], t, fmt17(a), fmt17(b), fmt17(err)])
     passed = bool(worst <= tol)
     return Outcome(
         csv_text(["x_index", "tau", "t", "closed_form", "direct", "abs_err"], rows),
@@ -250,12 +251,12 @@ def _check_inequality(cfg, seed: int, checker) -> Outcome:
         for p in ps:
             fs = random_test_functions(cells, count, _seed(seed, "test-functions", tau, p))
             report = checker(model, tau, p, fs, **options)
+            tau_text, p_text = fmt17(tau), "inf" if math.isinf(p) else fmt17(p)
             for i, (lhs, rhs) in enumerate(zip(report.lhs, report.rhs)):
                 slack = rhs - lhs
                 if slack < min_slack:
                     min_slack, where = slack, (tau, p, i)
-                rows.append([fmt17(tau), "inf" if math.isinf(p) else fmt17(p),
-                             i, fmt17(lhs), fmt17(rhs), fmt17(slack)])
+                rows.append([tau_text, p_text, i, fmt17(lhs), fmt17(rhs), fmt17(slack)])
     tol = report.tol
     passed = not min_slack < -tol
     return Outcome(

@@ -28,6 +28,12 @@ __all__ = [
 
 
 def _sqdist(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """A fresh matrix of squared distances, which the kernels overwrite in
+    place.  On 1-D points it is one difference squared in its own buffer,
+    with the bits of the general sum."""
+    if xs.shape[1] == 1:
+        d = xs[:, 0, None] - ys[None, :, 0]
+        return np.multiply(d, d, out=d)
     d = xs[:, None, :] - ys[None, :, :]
     return np.einsum("ijk,ijk->ij", d, d)
 
@@ -45,7 +51,10 @@ class GaussianKernel:
     def pairwise(self, xs, ys) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        return np.exp(-_sqdist(xs, ys) / self.bandwidth**2)
+        k = _sqdist(xs, ys)
+        np.negative(k, out=k)
+        np.divide(k, self.bandwidth**2, out=k)
+        return np.exp(k, out=k)
 
     def to_dict(self):
         return {"family": "gaussian", "bandwidth": self.bandwidth}
@@ -79,11 +88,28 @@ class PolynomialKernel:
                 "offset": self.offset, "dim": self.dim}
 
 
-_MATERN_POLY = {
-    0.5: lambda r: np.ones_like(r),
-    1.5: lambda r: 1.0 + r,
-    2.5: lambda r: 1.0 + r + r**2 / 3.0,
-}
+def _times_one(z, e):
+    return e
+
+
+def _times_linear(z, e):
+    z += 1.0
+    z *= e
+    return z
+
+
+def _times_quadratic(z, e):
+    sq = np.square(z)
+    sq /= 3.0
+    z += 1.0
+    z += sq
+    z *= e
+    return z
+
+
+# k = p(z) exp(-z) with p(z) = 1, 1 + z or 1 + z + z**2 / 3 by smoothness;
+# each entry returns p(z) * e, overwriting z, with p's operations in order.
+_MATERN_POLY = {0.5: _times_one, 1.5: _times_linear, 2.5: _times_quadratic}
 
 
 @dataclass(frozen=True)
@@ -102,9 +128,13 @@ class MaternKernel:
     def pairwise(self, xs, ys) -> np.ndarray:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
-        r = np.sqrt(np.maximum(_sqdist(xs, ys), 0.0))
-        z = math.sqrt(2.0 * self.nu) * r / self.lengthscale
-        return _MATERN_POLY[self.nu](z) * np.exp(-z)
+        z = _sqdist(xs, ys)
+        np.maximum(z, 0.0, out=z)
+        np.sqrt(z, out=z)
+        np.multiply(z, math.sqrt(2.0 * self.nu), out=z)
+        np.divide(z, self.lengthscale, out=z)
+        e = np.negative(z)
+        return _MATERN_POLY[self.nu](z, np.exp(e, out=e))
 
     def to_dict(self):
         return {"family": "matern", "nu": self.nu, "lengthscale": self.lengthscale}
@@ -141,7 +171,9 @@ def gram(spec, xs) -> np.ndarray:
     if xs.shape[0] == 0:
         raise ValueError("need at least one point")
     g = spec.pairwise(xs, xs)
-    return 0.5 * (g + g.T)  # kill roundoff asymmetry
+    g = g + g.T  # kill roundoff asymmetry
+    g *= 0.5
+    return g
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,12 @@ _RANK_CUTOFF.
 
 - Low rank: a Mehrotra predictor-corrector interior point (in the spirit
   of the Frisch-Newton method of Portnoy & Koenker, Stat. Sci. 1997)
-  solves the dual with G replaced by L L'.  Each Newton step is a
-  Woodbury solve with an r x r core, O(n r^2), and the iteration count
+  solves the dual with G replaced by L L'.  Each Newton step forms one
+  r x r core I/c + L' D^-1 L, O(n r^2), and its eigen-decomposition
+  V E V'; every Woodbury solve of the step then runs against the shared
+  factor L itself, x = D^-1 v and x - D^-1 L V E^-1 V' L' x, two
+  matrix-vector products with L and two with V, O(n r) (the low-rank
+  interior point of Fine & Scheinberg, JMLR 2001).  The iteration count
   does not grow as lambda shrinks.  The lambdas of a path share L, y and
   tau, so a block of them steps together, one row each, in one Newton
   loop; each row stops on its own test and keeps the bits a solve of that
@@ -46,9 +50,11 @@ duality gap on the full G with f = G alpha,
     P - D = 2 lam alpha' f + (1/n) sum_i L(y_i, f(x_i)) - 2 lam alpha' y,
 
 in objective units: the fit's objective is at most the gap above the
-optimum.  A fit converged when its gap is at most tol.  Coordinate descent
-stops on it, and the crossover keeps whichever candidate has the smaller
-gap.  The KKT residual stays as a diagnostic: with r_i = y_i - f(x_i),
+optimum.  It reads G once, for f; alpha' G alpha is alpha' f.  A fit
+converged when its gap is at most tol.  Coordinate descent stops on it,
+and the crossover keeps whichever candidate has the smaller gap, with one
+full pass over G per lambda, plus one when no polished candidate is kept.
+The KKT residual stays as a diagnostic: with r_i = y_i - f(x_i),
 
     r_i >  1e-10  requires alpha_i at the upper bound,
     r_i < -1e-10  requires alpha_i at the lower bound,
@@ -95,10 +101,10 @@ _ORDER_SEED = 0
 _PIVOT_TOL = 1e-13
 # The interior point runs when the numerical rank r is at most this.  Its
 # Newton step costs O(n r^2) per lambda: at n = 1025 on a 2-core machine, a
-# batched step of 16 lambdas takes 6.9 ms at r = 21 (0.43 ms per lambda,
-# against 0.67 ms for a lambda alone) and 112 ms at r = 200 (7 ms per
-# lambda, as alone), and a fit takes 10 to 26 steps at every lambda of the
-# experiments' grids.  At r = 200 that is the price of about 50
+# batched step of 16 lambdas takes 6.2 ms at r = 21 (0.39 ms per lambda,
+# against 0.80 ms for a lambda alone) and 84 ms at r = 200 (5.3 ms per
+# lambda, against 7.5 ms alone), and a fit takes 10 to 26 steps at every
+# lambda of the experiments' grids.  At r = 200 that is the price of about 50
 # coordinate-descent epochs of 2 ms, and CD needs hundreds at small
 # lambda.  Past the cutoff, where full-rank Grams such as Matern(1/2) land,
 # the factorization has cost O(n _RANK_CUTOFF^2) (9 ms at n = 1025) and CD
@@ -216,13 +222,13 @@ def _dual_value(alpha, fvals, y) -> float:
     return float(alpha @ fvals - 2.0 * alpha @ y)
 
 
-def _certificate(alpha, g, y, lam, tau) -> tuple[np.ndarray, float, float]:
-    """f = G alpha, the primal objective P and the duality gap P - D of
-    alpha on the full Gram g; the gap is the one optimality certificate."""
-    fvals = g @ alpha
-    reg = float(alpha @ g @ alpha)
+def _certificate(alpha, fvals, y, lam, tau) -> tuple[float, float]:
+    """The primal objective P and the duality gap P - D of alpha, with
+    fvals = G alpha on the full Gram; the gap is the one optimality
+    certificate.  The caller pays the one pass over G that fvals takes."""
+    reg = float(alpha @ fvals)
     primal = lam * reg + float(np.mean(pinball_loss(tau, y, fvals)))
-    return fvals, primal, primal - (2.0 * lam * float(alpha @ y) - lam * reg)
+    return primal, primal - (2.0 * lam * float(alpha @ y) - lam * reg)
 
 
 def _polish(g, y, alpha, lo, up, cap: int = 600, rounds: int = 12):
@@ -305,7 +311,8 @@ def _pair_sweep(g, y, alpha, fvals, lo, up, count: int = 8) -> None:
 
 
 def _coordinate_descent(g, y, lam, tau, lo, up, alpha0, tol, max_iter):
-    """Returns the last iterate, the epochs run and the dual after each."""
+    """Returns the last iterate, its f = G alpha, the epochs run and the dual
+    after each."""
     n = len(y)
     diag = np.diag(g).copy()
     alpha = alpha0.copy()
@@ -330,14 +337,17 @@ def _coordinate_descent(g, y, lam, tau, lo, up, alpha0, tol, max_iter):
                 alpha[i] = new
                 fvals += d * g[i]
         # a fresh f = G alpha also kills the incremental drift
-        fvals, _, gap = _certificate(alpha, g, y, lam, tau)
+        fvals = g @ alpha
+        _, gap = _certificate(alpha, fvals, y, lam, tau)
         if gap > tol:
             _pair_sweep(g, y, alpha, fvals, lo, up)
-            fvals, _, gap = _certificate(alpha, g, y, lam, tau)
+            fvals = g @ alpha
+            _, gap = _certificate(alpha, fvals, y, lam, tau)
         if epoch % 5 == 4 and gap > tol:
             cand = _polish(g, y, alpha, lo, up)
             if cand is not None:
-                cand_f, _, cand_gap = _certificate(cand, g, y, lam, tau)
+                cand_f = g @ cand
+                _, cand_gap = _certificate(cand, cand_f, y, lam, tau)
                 dual_now = _dual_value(alpha, fvals, y)
                 dual_cand = _dual_value(cand, cand_f, y)
                 # accept only strict improvement; the dual slack absorbs
@@ -347,7 +357,7 @@ def _coordinate_descent(g, y, lam, tau, lo, up, alpha0, tol, max_iter):
         history.append(_dual_value(alpha, fvals, y))
         if gap <= tol:
             break
-    return alpha, epochs, tuple(history)
+    return alpha, fvals, epochs, tuple(history)
 
 
 def _pivoted_cholesky(g):
@@ -372,12 +382,16 @@ def _pivoted_cholesky(g):
 
 def _step_to_boundary(*pairs) -> np.ndarray:
     """Per row, the largest step in (0, 1] that keeps every v + step * dv
-    nonnegative."""
+    nonnegative, for v > 0."""
     step = np.ones(len(pairs[0][0]))
-    for v, dv in pairs:
-        ratio = np.full(v.shape, np.inf)
-        np.divide(-v, dv, out=ratio, where=dv < 0.0)
-        step = np.minimum(step, np.min(ratio, axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for v, dv in pairs:
+            # |v / min(dv, 0)| is -v/dv where dv < 0 and inf (or NaN, which
+            # fmin skips) elsewhere: no masked division, which numpy runs
+            # an order of magnitude slower
+            ratio = np.minimum(dv, 0.0)
+            np.divide(v, ratio, out=ratio)
+            step = np.minimum(step, np.fmin.reduce(np.abs(ratio, out=ratio), axis=1))
     return step
 
 
@@ -401,6 +415,12 @@ def _interior_point(chol, y, lams, tau, max_iter):
     with the slacks s = u - a, t = b - u and their multipliers z, w as
     iterates: recomputing u - a would lose the slack's digits near a bound.
 
+    Each Newton step solves with c L L' + D, D = z/s + w/t, by Woodbury:
+    one r x r core I/c + L' D^-1 L = V E V' per row is the only product
+    that reads a (k, m, r) stack, and each solve is x = D^-1 v, then
+    p = V E^-1 V' L' x applied as three products in turn, and
+    x - D^-1 L p, against the shared L.
+
     The lambdas of a block share L, y and tau, so they step together as the
     rows of (k, m) arrays and one Newton step pays numpy's dispatch once for
     the block.  Each row stops on its own mu or residual test and is not
@@ -409,6 +429,8 @@ def _interior_point(chol, y, lams, tau, max_iter):
     one row per lambda; the masks are the coordinates whose multiplier
     selects the lower or the upper bound."""
     m, r = chol.shape
+    # both x L and p L' take the unit-stride gemv kernel with L in column order
+    chol = np.asfortranarray(chol)
     c = 1.0 / (2.0 * np.asarray(lams, dtype=float) * m)
     a, b = -(1.0 - tau), tau
     u = np.full((len(c), m), 0.5 * (a + b))
@@ -444,15 +466,18 @@ def _interior_point(chol, y, lams, tau, max_iter):
         last = u, s, t, z, w
         iters += 1
         diag = z / s + w / t
-        # (c L L' + D)^-1 by Woodbury; the r x r core I/c + L' D^-1 L goes
-        # through a symmetric eigen-solve, which does not break down when D
-        # spans many decades near the solution
-        scaled = chol / diag[:, :, None]
-        evals, evecs = np.linalg.eigh(np.eye(r) / c[:, None, None] + chol.T @ scaled)
+        # the r x r core goes through a symmetric eigen-solve, which does not
+        # break down when D spans many decades near the solution; V, 1/E and
+        # V' apply in turn, since an explicit V E^-1 V' rounds worse and
+        # leaves some small-lambda fits uncertified
+        evals, evecs = np.linalg.eigh(np.eye(r) / c[:, None, None]
+                                      + (chol.T / diag[:, None, :]) @ chol)
+        evecs_t = evecs.transpose(0, 2, 1)
 
         def woodbury(v):
-            p = _rows(_rows(_rows(v, scaled), evecs) / evals, evecs.transpose(0, 2, 1))
-            return (v - _rows(p, chol.T)) / diag
+            x = v / diag
+            p = _rows(_rows(_rows(x, chol), evecs) / evals, evecs_t)
+            return x - _rows(p, chol.T) / diag
 
         def newton(r_sz, r_tw):
             rhs = -r_d + (r_sz - z * r_s) / s - (r_tw - w * r_t) / t
@@ -535,14 +560,22 @@ def _crossover(g, y, lam, tau, raw, snapped, lo, up):
     Gram, if that does not raise the gap; otherwise whichever of the snapped
     and the raw iterate has the smaller gap.  Exact ties in y can make the
     free block singular, and its solve then lands far from the optimum.
-    Returns (alpha, f, P, P - D) of the one kept."""
-    snap = (snapped, *_certificate(snapped, g, y, lam, tau))
+    Returns (alpha, f, P, P - D) of the one kept.
+
+    One pass over G gives the snapped f; the polished f adds the rows of
+    the few coordinates the polish moved, and the raw f is paid for only
+    when no polished candidate is kept."""
+    f_snap = g @ snapped
+    snap = (snapped, f_snap, *_certificate(snapped, f_snap, y, lam, tau))
     polished = _polish(g, y, snapped, lo, up)
     if polished is not None:
-        pol = (polished, *_certificate(polished, g, y, lam, tau))
+        moved = np.flatnonzero(polished != snapped)
+        f_pol = f_snap + (polished[moved] - snapped[moved]) @ g[moved]
+        pol = (polished, f_pol, *_certificate(polished, f_pol, y, lam, tau))
         if pol[3] <= snap[3]:
             return pol
-    unsnapped = (raw, *_certificate(raw, g, y, lam, tau))
+    f_raw = g @ raw
+    unsnapped = (raw, f_raw, *_certificate(raw, f_raw, y, lam, tau))
     return snap if snap[3] <= unsnapped[3] else unsnapped
 
 
@@ -585,10 +618,10 @@ def train(
     lo, up = _bounds(tv, lam, n)
     if chol is None:
         alpha0 = np.zeros(n) if warm_start is None else np.clip(warm_start, lo, up)
-        alpha, iters, history = _coordinate_descent(
+        alpha, fvals, iters, history = _coordinate_descent(
             g, data.y, lam, tv, lo, up, alpha0, tol, max_iter
         )
-        fvals, primal, gap = _certificate(alpha, g, data.y, lam, tv)
+        primal, gap = _certificate(alpha, fvals, data.y, lam, tv)
     else:
         u, at_lo, at_up, iters = gram_matrix.solution(data.y, lam, tv, max_iter)
         # crossover: snap to the bounds the multipliers select

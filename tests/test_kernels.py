@@ -154,3 +154,33 @@ def test_spec_from_config_strings_takes_defaults():
     assert kernel_spec_from_dict({}) == GaussianKernel()
     assert kernel_spec_from_dict({"family": "polynomial", "dim": "2"}) == PolynomialKernel(dim=2)
     assert kernel_spec_from_dict({"family": "matern", "nu": "0.5"}) == MaternKernel(nu=0.5)
+
+
+@pytest.mark.parametrize("spec", [
+    GaussianKernel(0.5),
+    GaussianKernel(0.07),
+    MaternKernel(nu=0.5, lengthscale=0.4),
+    MaternKernel(nu=1.5, lengthscale=0.3),
+    MaternKernel(nu=2.5, lengthscale=0.8),
+])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kernel_matrices_keep_the_formula_bits(spec, dim):
+    """The kernels build their matrices in place; every entry must keep the
+    bits of the formula written out with fresh arrays."""
+    rng = np.random.default_rng(dim)
+    xs = rng.uniform(-1, 1, size=(123, dim))
+    ys = rng.uniform(-1, 1, size=(77, dim))
+    xs[5] = ys[9]   # a zero distance
+
+    def formula(a, b):
+        d = a[:, None, :] - b[None, :, :]
+        sq = np.einsum("ijk,ijk->ij", d, d)
+        if isinstance(spec, GaussianKernel):
+            return np.exp(-sq / spec.bandwidth**2)
+        z = math.sqrt(2.0 * spec.nu) * np.sqrt(np.maximum(sq, 0.0)) / spec.lengthscale
+        poly = {0.5: np.ones_like(z), 1.5: 1.0 + z, 2.5: 1.0 + z + z**2 / 3.0}[spec.nu]
+        return poly * np.exp(-z)
+
+    assert np.array_equal(spec.pairwise(xs, ys), formula(xs, ys))
+    k = formula(xs, xs)
+    assert np.array_equal(gram(spec, xs), 0.5 * (k + k.T))

@@ -311,6 +311,48 @@ def test_tv_svm_fits_match_standalone_train(monkeypatch, model, n, seed, spec, t
         assert diag.duality_gap == alone_diag.duality_gap
 
 
+# the cases of test_tv_svm_fits_match_standalone_train
+@pytest.mark.parametrize("model, n, seed, spec, tau", [
+    (uniform_noise(halfwidth=0.5), 512, 11, SPEC, 0.5),
+    (dirac_atom_mixture(), 1024, 7, SPEC, 0.5),
+    (uniform_noise(), 300, 12, PolynomialKernel(degree=3), 0.3),
+], ids=["uniform", "dirac-atom", "cubic"])
+def test_path_certificates_match_a_fresh_gram(monkeypatch, model, n, seed, spec, tau):
+    """The crossover derives f = G alpha of a polished candidate from the
+    snapped one's; every reported objective and gap must still be those of
+    alpha on the full Gram, recomputed here from scratch."""
+    from kqr import experiments
+    from kqr.experiments import lambda_grid, tv_svm
+    from kqr.kernels import gram
+
+    fits = []
+
+    def recording(*args, **kwargs):
+        model, diag = train(*args, **kwargs)
+        fits.append((args[0], model, diag))
+        return model, diag
+
+    monkeypatch.setattr(experiments, "train", recording)
+    data = sample_joint(model, n, seed=seed)
+    tv_svm(data, spec, lambda_grid(n), tau, tol=1e-4, max_iter=300)
+    g = gram(spec, fits[0][0].x)
+    eps = np.finfo(float).eps
+    for d1, fit, diag in fits:
+        a, y, lam, m = fit.coef, d1.y, fit.lam, len(d1)
+        f = g @ a
+        resid = y - f
+        primal = lam * (a @ f) + np.mean(np.maximum(tau * resid, (tau - 1.0) * resid))
+        dual = 2.0 * lam * (a @ y) - lam * (a @ f)
+        # each term is a sum of at most 2m products, each off by at most
+        # m eps times the sum of their magnitudes, on both sides
+        abs_f = np.abs(g) @ np.abs(a)
+        scale = (lam * np.abs(a) @ abs_f + 2.0 * lam * np.abs(a) @ np.abs(y)
+                 + np.mean(np.abs(y) + abs_f))
+        bound = 16.0 * m * eps * scale
+        assert abs(diag.final_objective - primal) <= bound, fit.lam
+        assert abs(diag.duality_gap - (primal - dual)) <= bound, fit.lam
+
+
 def test_train_takes_a_stored_row_only_when_it_matches():
     from kqr.kernels import gram
     from kqr.solver import _prepare
