@@ -23,7 +23,11 @@ analytic integrands on each segment; a generic callable gets a composite
 rule on a uniform panel grid instead.  One batched Gauss-Legendre call
 places the nodes of every segment, the integrands are evaluated once over
 all nodes, and each function's contiguous slice is summed on its own, so
-a function gets the same numbers alone as in a batch.
+a function gets the same numbers alone as in a batch.  The excess and
+variance integrands both read the noise moments over the interval between
+s = f(x) - g(x) and its projection onto the quantile set, so one
+moment evaluation per node set serves both, with m2 only when the
+variance is asked for.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import ConditionalModel, type_q_params
-from .inner_risk import excess_in_frame, noise_frame
+from .inner_risk import excess_from_moments, noise_frame
 from .losses import tau_value
 from .util import segment_nodes
 
@@ -129,14 +133,13 @@ def _dist_values(frame, s: np.ndarray) -> np.ndarray:
     return np.maximum(np.maximum(frame.t1 - s, s - frame.t2), 0.0)
 
 
-def _variance_values(frame, s: np.ndarray, tau: float) -> np.ndarray:
-    """E_y (L(y, a) - L(y, b))^2 in the noise frame, a = s, b = proj(s)."""
-    b = np.clip(s, frame.t1, frame.t2)
-    lo = np.minimum(s, b)
-    hi = np.maximum(s, b)
+def _variance_values(frame, lo, hi, moments, tau: float) -> np.ndarray:
+    """E_y (L(y, a) - L(y, b))^2 in the noise frame, a = s, b = proj(s), from
+    lo = min(a, b), hi = max(a, b) and the moments (m0, m1, m2) of the law
+    over (lo, hi)."""
     kappa = tau * lo + (1.0 - tau) * hi
     law = frame.law
-    m0, m1, m2 = law.interval_moments(lo, hi)
+    m0, m1, m2 = moments
     mid = m2 - 2.0 * kappa * m1 + kappa**2 * m0
     below = law.cdf(lo)
     above = 1.0 - law.cdf(hi, strict=True)
@@ -148,22 +151,28 @@ def _variance_values(frame, s: np.ndarray, tau: float) -> np.ndarray:
 def _evaluate(model, tau, fs, kinds, *, r: float = 1.0):
     """The functionals named in kinds ("excess", "dist", "variance") of every
     f in fs, integrated over one node set; "dist" is the L_r norm.  Each f's
-    slice is summed alone, so its values do not depend on the rest of fs."""
+    slice is summed alone, so its values do not depend on the rest of fs.
+    The excess and the variance read one moment evaluation over the
+    intervals between s and its projection onto [t1, t2]."""
     frame = noise_frame(model.noise, tau_value(tau))
     w, s, bounds = _nodes(model, frame, fs)
 
     def integrals(values):
         wv = w * values
         # np.add.reduce is np.sum's pairwise sum without the wrapper
-        return [np.add.reduce(wv[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+        return np.array([np.add.reduce(wv[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
 
     out = {}
+    if "excess" in kinds or "variance" in kinds:
+        proj = np.clip(s, frame.t1, frame.t2)
+        lo, hi = np.minimum(s, proj), np.maximum(s, proj)
+        moments = frame.law.interval_moments(lo, hi, 2 if "variance" in kinds else 1)
     if "excess" in kinds:
-        out["excess"] = np.array(integrals(excess_in_frame(frame, s)))
+        out["excess"] = integrals(excess_from_moments(frame, s, *moments[:2]))
     if "dist" in kinds:
         out["dist"] = np.array([v ** (1.0 / r) for v in integrals(_dist_values(frame, s) ** r)])
     if "variance" in kinds:
-        out["variance"] = np.array(integrals(_variance_values(frame, s, frame.tau)))
+        out["variance"] = integrals(_variance_values(frame, lo, hi, moments, frame.tau))
     return out
 
 

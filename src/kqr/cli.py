@@ -18,6 +18,7 @@ import argparse
 import configparser
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import sys
@@ -45,7 +46,7 @@ from .inner_risk import excess_in_frame, noise_frame
 from .kernels import _FAMILIES as _KERNELS, fit_power_law, gram_spectrum, kernel_spec_from_dict
 from .losses import tau_value
 from .solver import SvmModel, model_to_json, train
-from .util import csv_text, derive_rng, derive_seed_sequence, fmt17
+from .util import csv_text, derive_rng, derive_seed_sequence, fmt17, fmt17_column
 
 
 class ConfigError(Exception):
@@ -214,21 +215,26 @@ def _cmd_check_inner_risk(cfg, seed: int, strict_grid: bool) -> Outcome:
         c_star = float(model.noise.pinball(frame.tau, frame.t1))
         closed.append(excess_in_frame(frame, t_noise))
         direct.append(model.noise.pinball(frame.tau, t_noise) - c_star)
-    tau_text, t_text = [fmt17(tau) for tau in taus], [fmt17(t) for t in ts]
-    rows = []
-    worst = 0.0
-    for xi in range(n_x):
-        for ti in range(len(taus)):
-            for t, a, b in zip(t_text, closed[ti][xi], direct[ti][xi]):
-                err = float(abs(a - b))
-                worst = max(worst, err)
-                rows.append([xi, tau_text[ti], t, fmt17(a), fmt17(b), fmt17(err)])
+    # (xs, taus, ts): the order of the report's rows
+    closed, direct = np.stack(closed, axis=1), np.stack(direct, axis=1)
+    errs = np.abs(closed - direct)
+    tau_text, t_text = fmt17_column(taus), fmt17_column(ts)
+    keys = itertools.product(range(n_x), tau_text, t_text)
+    cells = zip(fmt17_column(closed), fmt17_column(direct), fmt17_column(errs))
+    rows = [[*key, *cell] for key, cell in zip(keys, cells)]
+    worst = float(np.max(errs))
     passed = bool(worst <= tol)
+    if math.isnan(worst):
+        xi, ti, j = np.unravel_index(np.argmax(np.isnan(errs)), errs.shape)
+        message = f"FAIL: closed-form/direct gap nan at x_index={xi} tau={taus[ti]} t={ts[j]}"
+    elif passed:
+        message = f"ok: max gap {worst:g} within {tol:g}"
+    else:
+        message = f"FAIL: max closed-form/direct gap {worst:g} exceeds {tol:g}"
     return Outcome(
         csv_text(["x_index", "tau", "t", "closed_form", "direct", "abs_err"], rows),
         {"max_abs_err": worst, "tolerance": tol, "pass": passed},
-        f"ok: max gap {worst:g} within {tol:g}" if passed
-        else f"FAIL: max closed-form/direct gap {worst:g} exceeds {tol:g}",
+        message,
         passed,
     )
 
@@ -251,20 +257,28 @@ def _check_inequality(cfg, seed: int, checker) -> Outcome:
         for p in ps:
             fs = random_test_functions(cells, count, _seed(seed, "test-functions", tau, p))
             report = checker(model, tau, p, fs, **options)
+            slack = report.slack
             tau_text, p_text = fmt17(tau), "inf" if math.isinf(p) else fmt17(p)
-            for i, (lhs, rhs) in enumerate(zip(report.lhs, report.rhs)):
-                slack = rhs - lhs
-                if slack < min_slack:
-                    min_slack, where = slack, (tau, p, i)
-                rows.append([tau_text, p_text, i, fmt17(lhs), fmt17(rhs), fmt17(slack)])
+            rows += [[tau_text, p_text, i, *fields] for i, fields in enumerate(zip(
+                fmt17_column(report.lhs), fmt17_column(report.rhs), fmt17_column(slack)))]
+            # a NaN slack is the worst row: it fails, and the first one is named
+            nan = np.flatnonzero(np.isnan(slack))
+            if len(nan) and not math.isnan(min_slack):
+                min_slack, where = math.nan, (tau, p, int(nan[0]))
+            elif np.min(slack) < min_slack:
+                i = int(np.argmin(slack))
+                min_slack, where = float(slack[i]), (tau, p, i)
     tol = report.tol
-    passed = not min_slack < -tol
+    passed = min_slack >= -tol
+    if passed:
+        message = f"ok: {len(rows)} rows, min slack {min_slack:g}"
+    else:
+        message = "FAIL: slack {:g}{} at tau={} p={} f_index={}".format(
+            min_slack, "" if math.isnan(min_slack) else f" below -{tol:g}", *where)
     return Outcome(
         csv_text(["tau", "p", "f_index", "lhs", "rhs", "slack"], rows),
         {"min_slack": min_slack, "tolerance": tol, "pass": passed, "rows": len(rows)},
-        f"ok: {len(rows)} rows, min slack {min_slack:g}" if passed
-        else "FAIL: slack {:g} below -{:g} at tau={} p={} f_index={}".format(
-            min_slack, tol, *where),
+        message,
         passed,
     )
 
@@ -283,9 +297,8 @@ def _cmd_train(cfg, seed: int, strict_grid: bool) -> Outcome:
     tau = svm.getfloat("tau", 0.5)
     trained, diag = train(data, spec, lam, tau, **_given(svm, tol=float, max_iter=int))
     preds = trained.kernel.pairwise(data.x, trained.support_x) @ trained.coef
-    rows = [[i, fmt17(data.x[i, 0]), fmt17(data.y[i]), fmt17(preds[i]),
-             fmt17(np.clip(preds[i], -1, 1)), fmt17(trained.coef[i])]
-            for i in range(len(data))]
+    columns = (data.x[:, 0], data.y, preds, np.clip(preds, -1, 1), trained.coef)
+    rows = [[i, *fields] for i, fields in enumerate(zip(*map(fmt17_column, columns)))]
     return Outcome(
         csv_text(["i", "x", "y", "prediction", "clipped", "alpha"], rows),
         {
@@ -358,7 +371,7 @@ def _cmd_spectrum(cfg, seed: int, strict_grid: bool) -> Outcome:
     evals = gram_spectrum(spec, xs)
     est = fit_power_law(evals, **_given(section, floor=float))
     return Outcome(
-        csv_text(["i", "eigenvalue"], [[i + 1, fmt17(v)] for i, v in enumerate(evals)]),
+        csv_text(["i", "eigenvalue"], list(enumerate(fmt17_column(evals), 1))),
         {
             "rho_hat": est.rho_hat,
             "a_hat": est.a_hat,

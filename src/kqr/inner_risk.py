@@ -64,28 +64,35 @@ def noise_frame(law: NoiseLaw, tau: float) -> _NoiseFrame:
 
 
 def excess_in_frame(frame: _NoiseFrame, t):
-    """Vectorized closed-form excess inner risk in the noise frame."""
+    """Vectorized closed-form excess inner risk in the noise frame.
+
+    One order-1 moment evaluation over the interval between each t and its
+    projection onto [t1, t2], [t2, t] above the quantile set and [t, t1]
+    below it, feeds the closed form on both sides."""
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
     t = np.atleast_1d(t)
-    out = np.zeros(t.shape)
-
-    above = t > frame.t2
-    if np.any(above):
-        ta = t[above]
-        m0, m1, _ = frame.law.interval_moments(np.full(ta.shape, frame.t2), ta)
-        out[above] = (ta - frame.t2) * frame.q_plus + (ta * m0 - m1)
-
-    below = t < frame.t1
-    if np.any(below):
-        tb = t[below]
-        m0, m1, _ = frame.law.interval_moments(tb, np.full(tb.shape, frame.t1))
-        out[below] = (frame.t1 - tb) * frame.q_minus + (m1 - tb * m0)
-
-    out = np.maximum(out, 0.0)
+    proj = np.clip(t, frame.t1, frame.t2)
+    m0, m1 = frame.law.interval_moments(np.minimum(t, proj), np.maximum(t, proj), 1)
+    out = excess_from_moments(frame, t, m0, m1)
     if scalar:
         return float(out[0])
     return out
+
+
+def excess_from_moments(frame: _NoiseFrame, t: np.ndarray, m0, m1) -> np.ndarray:
+    """The closed form of excess_in_frame from m0 and m1 of the law over the
+    open interval between each t and its projection onto [t1, t2], so that a
+    caller which reads other moments over the same intervals evaluates them
+    in the same call."""
+    out = np.zeros(t.shape)
+    above = t > frame.t2
+    ta = t[above]
+    out[above] = (ta - frame.t2) * frame.q_plus + (ta * m0[above] - m1[above])
+    below = t < frame.t1
+    tb = t[below]
+    out[below] = (frame.t1 - tb) * frame.q_minus + (m1[below] - tb * m0[below])
+    return np.maximum(out, 0.0)
 
 
 def inner_risk(model: ConditionalModel, x, tau, t):

@@ -9,8 +9,10 @@ generic numeric quadrature is involved on the y-axis.
 Each quantity is evaluated once.  A law computes its support, breakpoints,
 total mean and the CDF levels P(Y <= z) and P(Y < z) at its breakpoints on
 first use and keeps them, so every quantile query only scans the stored
-levels.  ``cdf`` evaluates the zeroth moment of each piece alone, and a
-piece takes sign(u) and |u| once per interval end for all its moments.
+levels.  ``cdf`` evaluates the zeroth moment of each piece alone, a piece
+takes sign(u) and |u| once per interval end for all its moments, and
+``interval_moments`` computes the moments up to the order its caller
+reads, so m2 is paid for only by the variance integrand.
 """
 
 from __future__ import annotations
@@ -84,15 +86,18 @@ class PowerPiece:
         sa, ra, sb, rb = self._ends(a, b)
         return self.scale * (self._j0(sb, rb) - self._j0(sa, ra))
 
-    def moments(self, a, b):
-        """(m0, m1, m2) of the density over [a, b] clipped to the piece."""
+    def moments(self, a, b, order: int = 2):
+        """(m0, ..., m_order) of the density over [a, b] clipped to the
+        piece, order 1 or 2: a caller asks for the highest moment it reads."""
         sa, ra, sb, rb = self._ends(a, b)
         d0 = self._j0(sb, rb) - self._j0(sa, ra)
         d1 = self._j1(rb) - self._j1(ra)
-        d2 = self._j2(sb, rb) - self._j2(sa, ra)
         c = self.anchor
         m0 = self.scale * d0
         m1 = self.scale * (d1 + c * d0)
+        if order < 2:
+            return m0, m1
+        d2 = self._j2(sb, rb) - self._j2(sa, ra)
         m2 = self.scale * (d2 + 2.0 * c * d1 + c * c * d0)
         return m0, m1, m2
 
@@ -172,7 +177,7 @@ class NoiseLaw:
 
     @cached_property
     def total_mean(self) -> float:
-        m1 = sum(float(p.moments(p.lo, p.hi)[1]) for p in self.pieces)
+        m1 = sum(float(p.moments(p.lo, p.hi, 1)[1]) for p in self.pieces)
         m1 += float(np.sum(self._atom_locs * self._atom_masses)) if self.atoms else 0.0
         return m1
 
@@ -203,23 +208,25 @@ class NoiseLaw:
             return float(out)
         return out
 
-    def interval_moments(self, a, b):
-        """(m0, m1, m2) over the OPEN interval (a, b); vectorized."""
+    def interval_moments(self, a, b, order: int = 2):
+        """(m0, ..., m_order) over the OPEN interval (a, b); vectorized.
+
+        order is 1 or 2, the highest moment the caller reads: m2 costs a
+        third power per piece and interval end, and only the variance
+        integrand reads it.  A caller that needs the moments of several
+        integrands over the same intervals makes one call for all of them."""
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
-        m0 = np.zeros(np.broadcast(a, b).shape)
-        m1 = np.zeros_like(m0)
-        m2 = np.zeros_like(m0)
+        zero = np.zeros(np.broadcast(a, b).shape)
+        m = [zero] * (order + 1)
         for p in self.pieces:
-            d0, d1, d2 = p.moments(a, b)
-            m0, m1, m2 = m0 + d0, m1 + d1, m2 + d2
+            m = [acc + d for acc, d in zip(m, p.moments(a, b, order))]
         for at in self.atoms:
             inside = (a < at.location) & (at.location < b)
             w = np.where(inside, at.mass, 0.0)
-            m0 = m0 + w
-            m1 = m1 + w * at.location
-            m2 = m2 + w * at.location**2
-        return m0, m1, m2
+            # w * location**k is w, w * location and w * location**2 exactly
+            m = [acc + w * at.location**k for k, acc in enumerate(m)]
+        return tuple(m)
 
     # -- pinball integral -----------------------------------------------------
 
@@ -230,7 +237,7 @@ class NoiseLaw:
         # mass and first moment strictly below t; the open interval from
         # under the support captures them without cancellation
         m0b = self.cdf(t, strict=True)
-        _, m1b, _ = self.interval_moments(np.full(t.shape, below_edge), t)
+        _, m1b = self.interval_moments(np.full(t.shape, below_edge), t, 1)
         at_mass = self.atom_mass_at(t)  # contributes zero loss either way
         m0a = 1.0 - m0b - at_mass
         m1a = self.total_mean - m1b - at_mass * t

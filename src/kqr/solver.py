@@ -41,8 +41,12 @@ prepares it with _prepare, solves each block of lambdas on it with
 _Gram.solve_block, and passes it to train as gram_matrix.  The
 factorization is also the PSD check.  With G = L L' + E and L L' PSD,
 Gershgorin's discs of the residual E bound the smallest eigenvalue of G
-from below; the exact eigenvalue check runs only when that bound cannot
-certify the matrix, or when the rank passes _RANK_CUTOFF.
+from below.  Past _RANK_CUTOFF, one dense Cholesky of G certifies it
+instead: one that succeeds in floating point bounds the smallest
+eigenvalue below by -O(m^2 eps max_i G_ii), far inside -_PSD_TOL.  The
+exact eigenvalue check runs only when neither certifies the matrix, as
+for a singular Gram of full numerical rank (a duplicated point), and it
+alone decides whether the Gram is rejected.
 
 Both engines return a box-feasible alpha, certified by one number, the
 duality gap on the full G with f = G alpha,
@@ -538,9 +542,14 @@ class _Gram:
 def _prepare(g: np.ndarray) -> _Gram:
     """Factor g and check it PSD within _PSD_TOL; raise ValueError if not.
 
-    G = L L' + E with L L' PSD, so by Gershgorin the smallest eigenvalue of
-    G is at least min_i (E_ii - sum_{j != i} |E_ij|).  When that bound is
-    below -_PSD_TOL, or there is no factor, a dense eigen-solve decides."""
+    Low rank: G = L L' + E with L L' PSD, so by Gershgorin the smallest
+    eigenvalue of G is at least min_i (E_ii - sum_{j != i} |E_ij|).
+    Past _RANK_CUTOFF: a dense Cholesky of G that succeeds in floating point
+    certifies a smallest eigenvalue of at least -O(m^2 eps max_i G_ii)
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 10.1),
+    about -7e-11 at m = 800, well inside -_PSD_TOL.  When the Gershgorin
+    bound is below -_PSD_TOL, or the Cholesky fails (a singular PSD Gram
+    has none either), a dense eigen-solve decides."""
     chol = _pivoted_cholesky(g)
     if chol is not None:
         resid = chol @ chol.T
@@ -549,6 +558,12 @@ def _prepare(g: np.ndarray) -> _Gram:
         bound = float(np.min(d + np.abs(d) - np.sum(np.abs(resid, out=resid), axis=1)))
         if bound >= -_PSD_TOL:
             return _Gram(g, chol)
+    else:
+        try:
+            np.linalg.cholesky(g)
+            return _Gram(g, None)
+        except np.linalg.LinAlgError:
+            pass
     min_eig = float(np.linalg.eigvalsh(g)[0])
     if min_eig < -_PSD_TOL:
         raise ValueError(f"Gram matrix is not PSD within tolerance: min eig {min_eig:g}")
@@ -678,8 +693,8 @@ def model_to_json(model: SvmModel) -> str:
         "kernel": model.kernel.to_dict(),
         "lambda": float(model.lam).hex(),
         "tau": float(model.tau).hex(),
-        "support_x": [[float(v).hex() for v in row] for row in model.support_x],
-        "coef": [float(v).hex() for v in model.coef],
+        "support_x": [[v.hex() for v in row] for row in model.support_x.tolist()],
+        "coef": [v.hex() for v in model.coef.tolist()],
     }
     return json.dumps(payload, indent=2)
 

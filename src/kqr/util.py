@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 from functools import lru_cache
 
 import numpy as np
@@ -57,8 +55,14 @@ def fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
+def fmt17_column(values) -> list[str]:
+    """fmt17 of every entry of an array, in C order: one tolist() turns the
+    entries into Python floats at once, with the same strings as fmt17."""
+    return [format(v, ".17g") for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
 def csv_text(header, rows) -> str:
-    """A CSV body: the header, then one line per row, each ended by a bare newline."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
-    return buf.getvalue()
+    """A CSV body: the header, then one line per row, each ended by a bare
+    newline.  Every field is a number, "inf" or a header word, none of which
+    needs quoting, so the fields are joined as they are."""
+    return "".join([",".join(map(str, row)) + "\n" for row in [header, *rows]])

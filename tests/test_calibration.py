@@ -235,3 +235,55 @@ def test_piecewise_constant_without_crossings():
     assert excess_risk(model, 0.5, f) == pytest.approx(np.sum(p_cell * inner), abs=1e-12)
     assert dist_norm(model, 0.5, f, 3.0) == pytest.approx(
         np.sum(p_cell * np.abs(values) ** 3) ** (1.0 / 3.0), abs=1e-12)
+
+
+def test_evaluate_matches_the_integrands_it_replaced():
+    """One moment evaluation per node set, shared by the excess and the
+    variance, gives the bits of the integrands as first written: the excess
+    from two subset moment calls, the variance from its own order-2 call."""
+    from kqr import distributions as d
+    from kqr.calibration import _dist_values, _evaluate, _nodes
+    from kqr.inner_risk import noise_frame
+
+    from .test_inner_risk import reference_excess_in_frame
+
+    def reference_variance(frame, s, tau):
+        b = np.clip(s, frame.t1, frame.t2)
+        lo, hi = np.minimum(s, b), np.maximum(s, b)
+        kappa = tau * lo + (1.0 - tau) * hi
+        m0, m1, m2 = frame.law.interval_moments(lo, hi)
+        mid = m2 - 2.0 * kappa * m1 + kappa**2 * m0
+        below = frame.law.cdf(lo)
+        above = 1.0 - frame.law.cdf(hi, strict=True)
+        c1, c2 = (1.0 - tau) * (hi - lo), tau * (hi - lo)
+        return c1**2 * below + mid + c2**2 * above
+
+    models = [
+        d.bounded_density_mixture(),
+        d.uniform_noise(halfwidth=0.3),
+        d.polynomial_density(),
+        d.dirac_atom_mixture(),
+        d.two_atom(),
+        d.bounded_density_mixture(contaminant_weight=0.2, contaminant_atom=0.1),
+    ]
+    fs = random_test_functions(8, 6, seed=21) + [lambda x: 0.8 * np.cos(3.0 * x[:, 0])]
+    for model in models:
+        for tau, r in [(0.1, 1.5), (0.5, 2.0), (0.9, 1.0)]:
+            frame = noise_frame(model.noise, tau)
+            w, s, bounds = _nodes(model, frame, fs)
+
+            def integrals(values):
+                wv = w * values
+                return np.array([np.add.reduce(wv[a:b]) for a, b in zip(bounds[:-1], bounds[1:])])
+
+            want = {
+                "excess": integrals(reference_excess_in_frame(frame, s)),
+                "dist": np.array([v ** (1.0 / r) for v in integrals(_dist_values(frame, s) ** r)]),
+                "variance": integrals(reference_variance(frame, s, tau)),
+            }
+            for kinds in [("excess", "dist", "variance"), ("excess", "dist"), ("variance",),
+                          ("excess",)]:
+                got = _evaluate(model, tau, fs, kinds, r=r)
+                assert set(got) == set(kinds)
+                for kind in kinds:
+                    assert np.array_equal(got[kind], want[kind]), (kind, tau)

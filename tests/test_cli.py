@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -435,3 +436,210 @@ def test_solver_summaries_report_convergence(tmp_path):
     assert [conv[n]["fits"] for n in ("32", "64")] == [11, 13]
     assert all(c["converged"] == c["fits"] and c["worst_gap"] <= 1e-8 for c in conv.values())
     assert "gap" not in (tmp_path / "r" / "report.csv").read_text()
+
+
+# -- the report writer against the per-element rendering it replaced ---------------
+
+MATERN_TRAIN_CFG = """
+[run]
+seed = 6
+
+[model]
+family = bounded-density-mixture
+
+[kernel]
+family = matern
+nu = 0.5
+lengthscale = 0.5
+
+[data]
+n = 800
+
+[svm]
+lambda = 0.01
+tau = 0.5
+tol = 1e-6
+max_iter = 1000
+"""
+
+
+def _per_element_csv(header, rows):
+    """The CSV body as first written: csv.writer with bare newlines."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+def test_reports_match_per_element_rendering(tmp_path):
+    """Formatting by column writes the bytes that fmt17 per element and
+    csv.writer wrote, for train (and its model.json), spectrum,
+    check-calibration and check-inner-risk."""
+    import numpy as np
+
+    from kqr import cli
+    from kqr.calibration import check_self_calibration, random_test_functions
+    from kqr.distributions import sample_joint
+    from kqr.inner_risk import excess_inner_risk, inner_risk, min_inner_risk
+    from kqr.kernels import MaternKernel, gram_spectrum
+    from kqr.solver import train
+    from kqr.util import derive_rng, fmt17
+
+    def report(command, text):
+        cfg = write_config(tmp_path, text, f"{command}.ini")
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        return (out / "report.csv").read_text(), out
+
+    got, out = report("train", MATERN_TRAIN_CFG.replace("n = 800", "n = 300"))
+    spec = MaternKernel(nu=0.5, lengthscale=0.5)
+    data = sample_joint(cli.build_model({"family": "bounded-density-mixture"}), 300,
+                        cli._seed(6, "train-data"))
+    model, _ = train(data, spec, 0.01, 0.5, tol=1e-6, max_iter=1000)
+    preds = spec.pairwise(data.x, data.x) @ model.coef
+    rows = [[i, fmt17(data.x[i, 0]), fmt17(data.y[i]), fmt17(preds[i]),
+             fmt17(np.clip(preds[i], -1, 1)), fmt17(model.coef[i])] for i in range(300)]
+    assert got == _per_element_csv(["i", "x", "y", "prediction", "clipped", "alpha"], rows)
+    assert (out / "model.json").read_text() == json.dumps({
+        "kernel": spec.to_dict(),
+        "lambda": float(0.01).hex(),
+        "tau": float(0.5).hex(),
+        "support_x": [[float(v).hex() for v in row] for row in model.support_x],
+        "coef": [float(v).hex() for v in model.coef],
+    }, indent=2)
+
+    got, _ = report("spectrum", "[run]\nseed = 3\n\n[kernel]\nfamily = matern\nnu = 1.5\n\n"
+                                "[spectrum]\nn = 150\n")
+    xs = derive_rng(3, "spectrum-points").uniform(-1.0, 1.0, size=(150, 1))
+    evals = gram_spectrum(MaternKernel(nu=1.5), xs)
+    assert got == _per_element_csv(["i", "eigenvalue"],
+                                   [[i + 1, fmt17(v)] for i, v in enumerate(evals)])
+
+    text = CHECK_CFG.replace("taus = 0.5\nps = inf", "taus = 0.1 0.5\nps = 1 inf")
+    got, _ = report("check-calibration", text)
+    model = cli.build_model(cli.load_config(tmp_path / "check-calibration.ini")["model"])
+    rows = []
+    for tau in (0.1, 0.5):
+        for p in (1.0, math.inf):
+            fs = random_test_functions(4, 25, cli._seed(11, "test-functions", tau, p))
+            checked = check_self_calibration(model, tau, p, fs, tol=1e-8)
+            for i, (lhs, rhs) in enumerate(zip(checked.lhs, checked.rhs)):
+                rows.append([fmt17(tau), "inf" if math.isinf(p) else fmt17(p), i,
+                             fmt17(lhs), fmt17(rhs), fmt17(rhs - lhs)])
+    assert got == _per_element_csv(["tau", "p", "f_index", "lhs", "rhs", "slack"], rows)
+
+    got, _ = report("check-inner-risk", "[run]\nseed = 4\n\n[model]\nfamily = two-atom\n\n"
+                                        "[check]\ntaus = 0.1 0.5 0.9\nxs = 5\nt_points = 17\n")
+    model = cli.build_model({"family": "two-atom"})
+    xs = derive_rng(4, "inner-risk-xs").uniform(-1.0, 1.0, size=(5, 1))
+    rows = []
+    for xi, x in enumerate(xs):
+        for tau in (0.1, 0.5, 0.9):
+            ts = np.linspace(-1.0, 1.0, 17)
+            c_star = min_inner_risk(model, x, tau).c_star
+            closed = excess_inner_risk(model, x, tau, ts)
+            direct = inner_risk(model, x, tau, ts) - c_star
+            for t, a, b in zip(ts, closed, direct):
+                rows.append([xi, fmt17(tau), fmt17(t), fmt17(a), fmt17(b),
+                             fmt17(float(abs(a - b)))])
+    assert got == _per_element_csv(
+        ["x_index", "tau", "t", "closed_form", "direct", "abs_err"], rows)
+
+
+# -- a NaN row fails its check --------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, checker", [
+    ("check-calibration", "check_self_calibration"),
+    ("check-variance", "check_variance_bound"),
+])
+def test_nan_slack_fails_and_names_its_row(tmp_path, monkeypatch, capsys, command, checker):
+    import numpy as np
+
+    from kqr import cli
+
+    real = getattr(cli, checker)
+
+    def with_a_nan(model, tau, p, fs, **options):
+        checked = real(model, tau, p, fs, **options)
+        if tau == 0.5 and p == 4.0:
+            checked.lhs = checked.lhs.copy()
+            checked.lhs[3] = np.nan
+        return checked
+
+    monkeypatch.setattr(cli, checker, with_a_nan)
+    cfg = write_config(tmp_path, CHECK_CFG.replace("taus = 0.5\nps = inf",
+                                                   "taus = 0.1 0.5\nps = 1 4 inf"))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    message = capsys.readouterr().out
+    assert message.startswith("FAIL: slack nan at tau=0.5 p=4.0 f_index=3"), message
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False and math.isnan(summary["min_slack"])
+    assert "0.5,4,3,nan," in (out / "report.csv").read_text()
+
+
+def test_nan_inner_risk_error_fails_and_names_its_row(tmp_path, monkeypatch, capsys):
+    import numpy as np
+
+    from kqr import cli
+
+    real = cli.excess_in_frame
+
+    def with_a_nan(frame, t):
+        out = real(frame, t)
+        if frame.tau == 0.5:
+            out[2, 7] = np.nan
+        return out
+
+    monkeypatch.setattr(cli, "excess_in_frame", with_a_nan)
+    cfg = write_config(tmp_path, CHECK_CFG + "xs = 4\nt_points = 9\n")
+    out = tmp_path / "o"
+    assert main(["check-inner-risk", "--config", cfg, "--out", str(out)]) == 1
+    message = capsys.readouterr().out
+    assert message.startswith("FAIL: closed-form/direct gap nan at x_index=2 tau=0.5 t=0.75"), \
+        message
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["pass"] is False and math.isnan(summary["max_abs_err"])
+
+
+# -- the PSD certificate of a full-rank Gram ---------------------------------------------
+
+
+def test_full_rank_train_certifies_its_gram_with_one_cholesky(tmp_path, monkeypatch):
+    """The Matern(1/2) train at n = 800 is past the pivoted Cholesky's rank
+    cutoff: one dense Cholesky certifies its Gram and no eigen-solve runs."""
+    import numpy as np
+
+    calls = {"cholesky": 0, "eigvalsh": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    cfg = write_config(tmp_path, MATERN_TRAIN_CFG)
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"]) == 0
+    assert calls == {"cholesky": 1, "eigvalsh": 0}
+
+
+def _no_factorization(monkeypatch):
+    import numpy as np
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("factorization before the kernel was validated")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+
+
+def test_nan_lengthscale_exits_2_before_cholesky(tmp_path, monkeypatch):
+    _no_factorization(monkeypatch)
+    _no_eigendecomposition(monkeypatch)
+    cfg = write_config(tmp_path, MATERN_TRAIN_CFG.replace("lengthscale = 0.5",
+                                                          "lengthscale = nan"))
+    assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -8,15 +8,18 @@ from kqr.distributions import (
     type_q_params,
 )
 from kqr.inner_risk import (
+    excess_in_frame,
     excess_inner_risk,
     inner_risk,
     lower_pol_delta,
     min_inner_risk,
+    noise_frame,
     self_cal_lower_bound,
     self_calibration_fn,
 )
 
 from .conftest import quad_pinball_oracle
+from .test_noise import reference_laws
 
 X0 = np.array([0.0])
 
@@ -198,3 +201,46 @@ def test_self_calibration_dominates_lower_bound(all_families):
                     actual = self_calibration_fn(model, x, tau, eps)
                     bound = self_cal_lower_bound(params, eps)
                     assert actual >= bound - 1e-8
+
+
+def reference_excess_in_frame(frame, t):
+    """excess_in_frame as first written: one moment call on the points above
+    the quantile set and one on those below."""
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    out = np.zeros(t.shape)
+    above = t > frame.t2
+    if np.any(above):
+        ta = t[above]
+        m0, m1, _ = frame.law.interval_moments(np.full(ta.shape, frame.t2), ta)
+        out[above] = (ta - frame.t2) * frame.q_plus + (ta * m0 - m1)
+    below = t < frame.t1
+    if np.any(below):
+        tb = t[below]
+        m0, m1, _ = frame.law.interval_moments(tb, np.full(tb.shape, frame.t1))
+        out[below] = (frame.t1 - tb) * frame.q_minus + (m1 - tb * m0)
+    out = np.maximum(out, 0.0)
+    if scalar:
+        return float(out[0])
+    return out
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.3, 0.5, 0.9])
+def test_excess_in_frame_matches_two_subset_reference(tau):
+    """One moment call over [proj t, t] gives the bits of the two subset
+    calls, on scalars, 1-D and 2-D inputs, the quantile ends included."""
+    rng = np.random.default_rng(9)
+    for law in reference_laws():
+        frame = noise_frame(law, tau)
+        ends = np.array([frame.t1, frame.t2])
+        ts = np.concatenate([rng.uniform(-1.2, 1.2, 300), law.breakpoints, ends,
+                             np.nextafter(ends, -2.0), np.nextafter(ends, 2.0)])
+        assert np.array_equal(excess_in_frame(frame, ts), reference_excess_in_frame(frame, ts))
+        grid = rng.uniform(-1.2, 1.2, (7, 40))
+        got = excess_in_frame(frame, grid)
+        assert got.shape == grid.shape
+        assert np.array_equal(got, reference_excess_in_frame(frame, grid))
+        for t in ts[::7]:
+            got = excess_in_frame(frame, t)
+            assert isinstance(got, float) and got == reference_excess_in_frame(frame, t)

@@ -337,3 +337,46 @@ def test_quantile_interval_matches_reference(monkeypatch):
 
         monkeypatch.setattr(law, "cdf", refuse)
         assert [law.quantile_interval(tau) for tau in taus] == got
+
+
+def reference_interval_moments(law, a, b):
+    """interval_moments as first written: all three moments of every piece
+    and atom, summed in the same order."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    m0 = np.zeros(np.broadcast(a, b).shape)
+    m1 = np.zeros_like(m0)
+    m2 = np.zeros_like(m0)
+    for p in law.pieces:
+        d0, d1, d2 = reference_moments(p, a, b)
+        m0, m1, m2 = m0 + d0, m1 + d1, m2 + d2
+    for at in law.atoms:
+        w = np.where((a < at.location) & (at.location < b), at.mass, 0.0)
+        m0 = m0 + w
+        m1 = m1 + w * at.location
+        m2 = m2 + w * at.location**2
+    return m0, m1, m2
+
+
+def test_interval_moments_to_order_one_are_the_first_two_of_order_two():
+    """Asking for fewer moments leaves out m2 and changes no bit of m0, m1;
+    both orders match the sum as first written."""
+    rng = np.random.default_rng(6)
+    a = rng.uniform(-0.7, 0.7, 400)
+    b = a + rng.uniform(-0.2, 0.6, 400)
+    for law in reference_laws():
+        z = _probe_points(law)
+        ends = [(a, b), (a.reshape(20, 20), b.reshape(20, 20)), (z, z + 0.1), (z - 0.2, z),
+                (-0.3, 0.25), (0.4, -0.1)]
+        for lo, hi in ends:
+            want = reference_interval_moments(law, lo, hi)
+            full = law.interval_moments(lo, hi)
+            low = law.interval_moments(lo, hi, 1)
+            assert len(full) == 3 and len(low) == 2
+            for got, ref in zip(full, want):
+                assert np.array_equal(got, ref)
+            for got, ref in zip(low, want[:2]):
+                assert np.array_equal(got, ref)
+            for p in law.pieces:
+                assert all(np.array_equal(x, y) for x, y in
+                           zip(p.moments(lo, hi, 1), reference_moments(p, lo, hi)[:2]))

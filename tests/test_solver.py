@@ -412,3 +412,74 @@ def test_full_rank_matern_takes_coordinate_descent():
     assert len(h) == diag.iterations >= 2
     assert np.all(np.diff(h) <= 1e-9 * max(1.0, np.abs(h).max()))
     assert diag.duality_gap >= -1e-12
+
+
+def _count_psd_work(monkeypatch):
+    """Count np.linalg.cholesky calls, their failures and eigvalsh calls."""
+    calls = {"cholesky": 0, "cholesky_failed": 0, "eigvalsh": 0}
+    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+
+    def counted_cholesky(*args, **kwargs):
+        calls["cholesky"] += 1
+        try:
+            return cholesky(*args, **kwargs)
+        except np.linalg.LinAlgError:
+            calls["cholesky_failed"] += 1
+            raise
+
+    def counted_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return calls
+
+
+def _matern_gram(points):
+    from kqr.kernels import MaternKernel, gram
+
+    spec = MaternKernel(nu=0.5, lengthscale=0.5)
+    return spec, gram(spec, points)
+
+
+def test_full_rank_gram_with_a_duplicated_point_is_accepted_by_eigenvalues(monkeypatch):
+    """A duplicated point makes a full-rank Matern(1/2) Gram singular: its
+    Cholesky fails, and the eigenvalue fallback accepts it as PSD."""
+    from kqr.solver import _prepare
+
+    data = sample_joint(uniform_noise(), 300, seed=4)
+    x = np.vstack([data.x[:1], data.x])
+    y = np.concatenate([data.y[:1], data.y])
+    spec, g = _matern_gram(x)
+    calls = _count_psd_work(monkeypatch)
+    prepared = _prepare(g)
+    assert prepared.chol is None
+    assert calls == {"cholesky": 1, "cholesky_failed": 1, "eigvalsh": 1}
+    _, diag = train(Dataset(x, y), spec, 0.05, 0.5, gram_matrix=prepared)
+    assert diag.converged
+
+
+def test_full_rank_gram_below_psd_tolerance_is_rejected(monkeypatch):
+    """A full-rank Gram shifted to a smallest eigenvalue of about -1e-6 has
+    no Cholesky, and the eigenvalue check rejects it as before."""
+    from kqr.solver import _prepare
+
+    data = sample_joint(uniform_noise(), 300, seed=4)
+    _, g = _matern_gram(data.x)
+    g = g - (np.linalg.eigvalsh(g)[0] + 1e-6) * np.eye(len(g))
+    calls = _count_psd_work(monkeypatch)
+    with pytest.raises(ValueError, match="Gram matrix is not PSD within tolerance: min eig -1e-06"):
+        _prepare(g)
+    assert calls == {"cholesky": 1, "cholesky_failed": 1, "eigvalsh": 1}
+
+
+def test_full_rank_psd_gram_is_certified_by_one_cholesky(monkeypatch):
+    from kqr.solver import _prepare
+
+    data = sample_joint(uniform_noise(), 300, seed=4)
+    _, g = _matern_gram(data.x)
+    calls = _count_psd_work(monkeypatch)
+    prepared = _prepare(g)
+    assert prepared.chol is None and prepared.matrix is g
+    assert calls == {"cholesky": 1, "cholesky_failed": 0, "eigvalsh": 0}
