@@ -54,6 +54,12 @@ __all__ = [
 ]
 
 
+def _check_range(values) -> None:
+    """Reject test function values outside [-1, 1]; NaN fails too."""
+    if not np.all(np.abs(values) <= 1.0 + 1e-9):
+        raise ValueError("test function values must lie in [-1, 1]")
+
+
 @dataclass(frozen=True)
 class PiecewiseConstant:
     """Constant on each cell of a uniform partition of [-1, 1] (first axis)."""
@@ -66,6 +72,7 @@ class PiecewiseConstant:
         v = np.asarray(self.values, dtype=float)
         if len(b) != len(v) + 1:
             raise ValueError("need one more breakpoint than values")
+        _check_range(v)
         b.flags.writeable = False
         v.flags.writeable = False
         object.__setattr__(self, "breakpoints", b)
@@ -123,8 +130,7 @@ def _nodes(model, frame, fs):
     for i in calls:
         at = slice(bounds[i], bounds[i + 1])
         f_x[at] = np.asarray(fs[i](x[at].reshape(-1, 1)), dtype=float).ravel()
-        if np.max(np.abs(f_x[at])) > 1.0 + 1e-9:
-            raise ValueError("test function values must lie in [-1, 1]")
+        _check_range(f_x[at])
     g = model.g(x.reshape(-1, 1))
     return w.ravel() / 2.0, f_x - g, bounds  # uniform P_X on [-1, 1]
 

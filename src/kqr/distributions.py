@@ -109,7 +109,6 @@ class SineLocation:
     """g(x) = amplitude * sin(pi * x_1)."""
 
     amplitude: float = 0.5
-    tag = "sine"
 
     def __call__(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -132,7 +131,6 @@ class SineLocation:
 @dataclass(frozen=True)
 class ZeroLocation:
     amplitude: float = 0.0
-    tag = "zero"
 
     def __call__(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))

@@ -84,8 +84,8 @@ def excess_from_moments(frame: _NoiseFrame, t: np.ndarray, m0, m1) -> np.ndarray
     """The closed form of excess_in_frame from m0 and m1 of the law over the
     open interval between each t and its projection onto [t1, t2], so that a
     caller which reads other moments over the same intervals evaluates them
-    in the same call."""
-    out = np.zeros(t.shape)
+    in the same call.  A NaN t has a NaN excess."""
+    out = np.where(np.isnan(t), np.nan, 0.0)
     above = t > frame.t2
     ta = t[above]
     out[above] = (ta - frame.t2) * frame.q_plus + (ta * m0[above] - m1[above])

@@ -29,12 +29,10 @@ _RANK_CUTOFF.
   tau, so a block of them steps together, one row each, in one Newton
   loop; each row stops on its own test and keeps the bits a solve of that
   lambda alone gives.  A crossover then snaps every coordinate to the
-  bound its multiplier selects and solves the free block exactly on the
-  full G.
+  bound its multiplier selects and polishes the result.
 - Otherwise: coordinate descent projects each Newton step onto the box,
-  with pair updates on the worst violators and a periodic polish of the
-  free block, accepted only when it lowers both the dual objective and the
-  duality gap, so the dual descends at every epoch.
+  with pair updates on the worst violators, and polishes its iterate every
+  fifth epoch.
 
 Each Gram is factored once: a caller that trains along a lambda path
 prepares it with _prepare, solves each block of lambdas on it with
@@ -55,9 +53,12 @@ duality gap on the full G with f = G alpha,
 
 in objective units: the fit's objective is at most the gap above the
 optimum.  It reads G once, for f; alpha' G alpha is alpha' f.  A fit
-converged when its gap is at most tol.  Coordinate descent stops on it,
-and the crossover keeps whichever candidate has the smaller gap, with one
-full pass over G per lambda, plus one when no polished candidate is kept.
+converged when its gap is at most tol, and coordinate descent stops on it.
+Both engines keep a polish by one rule: it solves the iterate's free block
+exactly on the full G, and replaces the iterate when its gap is no larger.
+Its f is the iterate's f plus the rows of the coordinates it moved, so the
+crossover makes one full pass over G per lambda, plus one for the raw
+iterate when no polished candidate is kept.
 The KKT residual stays as a diagnostic: with r_i = y_i - f(x_i),
 
     r_i >  1e-10  requires alpha_i at the upper bound,
@@ -151,17 +152,15 @@ class SvmModel:
 class SolveDiagnostics:
     """How a fit went.  iterations counts CD epochs or interior-point steps;
     duality_gap is P - D of the returned alpha on the full Gram, in
-    objective units, and converged means it is at most the fit's tol;
-    kkt_residual is a diagnostic in alpha units with a tie band of 1e-10;
-    dual_history holds the dual objective after each CD epoch, or once, at
-    the crossover point, for the interior point."""
+    objective units, the one optimality certificate; converged means it is
+    at most the fit's tol; kkt_residual is a diagnostic in alpha units with
+    a tie band of 1e-10."""
 
     iterations: int
     final_objective: float
     kkt_residual: float
     converged: bool
     duality_gap: float
-    dual_history: tuple[float, ...] = ()
 
 
 def predict(model: SvmModel, x) -> np.ndarray | float:
@@ -222,10 +221,6 @@ def kkt_residual(model: SvmModel, data: Dataset) -> float:
     return float(np.max(_kkt_vector(model.coef, fvals, data.y, lo, up)))
 
 
-def _dual_value(alpha, fvals, y) -> float:
-    return float(alpha @ fvals - 2.0 * alpha @ y)
-
-
 def _certificate(alpha, fvals, y, lam, tau) -> tuple[float, float]:
     """The primal objective P and the duality gap P - D of alpha, with
     fvals = G alpha on the full Gram; the gap is the one optimality
@@ -260,6 +255,21 @@ def _polish(g, y, alpha, lo, up, cap: int = 600, rounds: int = 12):
             break
         work = work[inside]
     return a
+
+
+def _polished(g, y, lam, tau, fit, lo, up):
+    """fit = (alpha, f, P, P - D) with its free block solved by _polish, as
+    the same tuple, if that does not raise the gap; otherwise None.  Both
+    engines finish an iterate by this one rule.  The polished f is fit's f
+    plus the rows of the few coordinates the polish moved, not a pass over G."""
+    alpha, fvals, _, gap = fit
+    cand = _polish(g, y, alpha, lo, up)
+    if cand is None:
+        return None
+    moved = np.flatnonzero(cand != alpha)
+    f_cand = fvals + (cand[moved] - alpha[moved]) @ g[moved]
+    polished = (cand, f_cand, *_certificate(cand, f_cand, y, lam, tau))
+    return polished if polished[3] <= gap else None
 
 
 def _pair_update(g, y, alpha, fvals, i, j, lo, up) -> float:
@@ -315,14 +325,12 @@ def _pair_sweep(g, y, alpha, fvals, lo, up, count: int = 8) -> None:
 
 
 def _coordinate_descent(g, y, lam, tau, lo, up, alpha0, tol, max_iter):
-    """Returns the last iterate, its f = G alpha, the epochs run and the dual
-    after each."""
+    """Returns (alpha, f, P, P - D, epochs) of the last iterate, f = G alpha."""
     n = len(y)
     diag = np.diag(g).copy()
     alpha = alpha0.copy()
     fvals = g @ alpha
     rng = np.random.default_rng(_ORDER_SEED)
-    history = []
     epochs = 0
     for epoch in range(max_iter):
         epochs = epoch + 1
@@ -342,26 +350,18 @@ def _coordinate_descent(g, y, lam, tau, lo, up, alpha0, tol, max_iter):
                 fvals += d * g[i]
         # a fresh f = G alpha also kills the incremental drift
         fvals = g @ alpha
-        _, gap = _certificate(alpha, fvals, y, lam, tau)
+        primal, gap = _certificate(alpha, fvals, y, lam, tau)
         if gap > tol:
             _pair_sweep(g, y, alpha, fvals, lo, up)
             fvals = g @ alpha
-            _, gap = _certificate(alpha, fvals, y, lam, tau)
+            primal, gap = _certificate(alpha, fvals, y, lam, tau)
         if epoch % 5 == 4 and gap > tol:
-            cand = _polish(g, y, alpha, lo, up)
-            if cand is not None:
-                cand_f = g @ cand
-                _, cand_gap = _certificate(cand, cand_f, y, lam, tau)
-                dual_now = _dual_value(alpha, fvals, y)
-                dual_cand = _dual_value(cand, cand_f, y)
-                # accept only strict improvement; the dual slack absorbs
-                # least-squares roundoff without breaking per-epoch descent
-                if cand_gap < gap and dual_cand <= dual_now + 1e-12 * max(1.0, abs(dual_now)):
-                    alpha, fvals, gap = cand, cand_f, cand_gap
-        history.append(_dual_value(alpha, fvals, y))
+            polished = _polished(g, y, lam, tau, (alpha, fvals, primal, gap), lo, up)
+            if polished is not None:
+                alpha, fvals, primal, gap = polished
         if gap <= tol:
             break
-    return alpha, fvals, epochs, tuple(history)
+    return alpha, fvals, primal, gap, epochs
 
 
 def _pivoted_cholesky(g):
@@ -571,24 +571,19 @@ def _prepare(g: np.ndarray) -> _Gram:
 
 
 def _crossover(g, y, lam, tau, raw, snapped, lo, up):
-    """The snapped iterate with its free block solved exactly on the full
-    Gram, if that does not raise the gap; otherwise whichever of the snapped
-    and the raw iterate has the smaller gap.  Exact ties in y can make the
-    free block singular, and its solve then lands far from the optimum.
-    Returns (alpha, f, P, P - D) of the one kept.
+    """The snapped iterate's polish, if _polished keeps it; otherwise
+    whichever of the snapped and the raw iterate has the smaller gap.
+    Exact ties in y can make the free block singular, and its solve then
+    lands far from the optimum.  Returns (alpha, f, P, P - D) of the one
+    kept.
 
-    One pass over G gives the snapped f; the polished f adds the rows of
-    the few coordinates the polish moved, and the raw f is paid for only
+    One pass over G gives the snapped f, and the raw f is paid for only
     when no polished candidate is kept."""
     f_snap = g @ snapped
     snap = (snapped, f_snap, *_certificate(snapped, f_snap, y, lam, tau))
-    polished = _polish(g, y, snapped, lo, up)
+    polished = _polished(g, y, lam, tau, snap, lo, up)
     if polished is not None:
-        moved = np.flatnonzero(polished != snapped)
-        f_pol = f_snap + (polished[moved] - snapped[moved]) @ g[moved]
-        pol = (polished, f_pol, *_certificate(polished, f_pol, y, lam, tau))
-        if pol[3] <= snap[3]:
-            return pol
+        return polished
     f_raw = g @ raw
     unsnapped = (raw, f_raw, *_certificate(raw, f_raw, y, lam, tau))
     return snap if snap[3] <= unsnapped[3] else unsnapped
@@ -633,10 +628,9 @@ def train(
     lo, up = _bounds(tv, lam, n)
     if chol is None:
         alpha0 = np.zeros(n) if warm_start is None else np.clip(warm_start, lo, up)
-        alpha, fvals, iters, history = _coordinate_descent(
+        alpha, fvals, primal, gap, iters = _coordinate_descent(
             g, data.y, lam, tv, lo, up, alpha0, tol, max_iter
         )
-        primal, gap = _certificate(alpha, fvals, data.y, lam, tv)
     else:
         u, at_lo, at_up, iters = gram_matrix.solution(data.y, lam, tv, max_iter)
         # crossover: snap to the bounds the multipliers select
@@ -644,7 +638,6 @@ def train(
         snapped = raw.copy()
         snapped[at_lo], snapped[at_up] = lo, up
         alpha, fvals, primal, gap = _crossover(g, data.y, lam, tv, raw, snapped, lo, up)
-        history = (_dual_value(alpha, fvals, data.y),)
     model = SvmModel(support_x=data.x, coef=alpha, kernel=spec, lam=lam, tau=tv)
     diagnostics = SolveDiagnostics(
         iterations=iters,
@@ -652,7 +645,6 @@ def train(
         kkt_residual=float(np.max(_kkt_vector(alpha, fvals, data.y, lo, up))),
         converged=gap <= tol,
         duality_gap=gap,
-        dual_history=history,
     )
     return model, diagnostics
 

@@ -156,9 +156,19 @@ def test_monotone_consistency(all_families):
 
 
 def test_function_values_validated(unit_uniform):
-    bad = lambda xs: np.full(len(xs), 1.5)
-    with pytest.raises(ValueError):
-        excess_risk(unit_uniform, 0.5, bad)
+    edges = np.array([-1.0, 0.0, 1.0])
+    bad = [
+        lambda xs: np.full(len(xs), 1.5),
+        # NaN must fail the range check, not pass as an excess of 0
+        lambda xs: np.full(len(xs), np.nan),
+        lambda xs: np.where(xs[:, 0] > 0, np.nan, 0.2),
+    ]
+    for f in bad:
+        with pytest.raises(ValueError):
+            excess_risk(unit_uniform, 0.5, f)
+    for values in ([np.nan, 0.2], [5.0, 0.2]):
+        with pytest.raises(ValueError):
+            PiecewiseConstant(edges, np.array(values))
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])

@@ -98,6 +98,10 @@ def test_excess_examples(unit_uniform, pure_two_atom):
 
     assert excess_inner_risk(pure_two_atom, X0, 0.5, 0.7) == pytest.approx(0.1, abs=1e-14)
     assert excess_inner_risk(pure_two_atom, X0, 0.5, 0.2) == 0.0
+    # a NaN t has a NaN excess, as inner_risk(t) - c_star has, not 0
+    assert np.isnan(excess_inner_risk(unit_uniform, X0, 0.5, np.nan))
+    ex = excess_inner_risk(pure_two_atom, X0, 0.5, np.array([0.7, np.nan]))
+    assert np.isnan(ex).tolist() == [False, True]
 
 
 def test_excess_agrees_with_direct_route(all_families):
