@@ -62,7 +62,7 @@ def _check_range(values) -> None:
 
 @dataclass(frozen=True)
 class PiecewiseConstant:
-    """Constant on each cell of a uniform partition of [-1, 1] (first axis)."""
+    """Constant on each cell of a partition of [-1, 1] (first axis)."""
 
     breakpoints: np.ndarray   # cell edges, length cells + 1
     values: np.ndarray        # one value per cell
@@ -72,6 +72,9 @@ class PiecewiseConstant:
         v = np.asarray(self.values, dtype=float)
         if len(b) != len(v) + 1:
             raise ValueError("need one more breakpoint than values")
+        # the quadrature integrates over the cells; NaN fails the comparisons
+        if not (b[0] == -1.0 and b[-1] == 1.0 and np.all(b[1:] > b[:-1])):
+            raise ValueError("breakpoints must increase strictly from -1 to 1")
         _check_range(v)
         b.flags.writeable = False
         v.flags.writeable = False
@@ -231,6 +234,8 @@ def _check(kind, model, tau, p, fs, *, tol) -> CalibrationReport:
     """lhs, rhs = const * excess^exponent, and the params of one inequality."""
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
+    if len(fs) == 0:
+        raise ValueError("need at least one test function")
     tv = tau_value(tau)
     cert = type_q_params(model, np.zeros(model.dim), tv)
     if not p > 0:

@@ -84,18 +84,6 @@ def lambda_grid(n: int, mode: str = "geometric") -> LambdaGrid:
     return LambdaGrid(values=values, mode=mode)
 
 
-# tv_svm runs the interior point on this many lambdas of its grid at once,
-# which bounds the path's memory at O(block m + m r) on any grid.  On a
-# rate round (Gaussian(0.5), n = 128 ... 2048, paths of 15 to 23 lambdas,
-# 2-core machine) a round took 0.61 s with a scalar solve per lambda,
-# 0.47 s in blocks of 4, and 0.41 to 0.42 s in blocks of 8, 12 or 16 and
-# in one block per path.  Peak RSS over 15 rounds in one process read
-# 89.3 MB with scalar solves, 89.6 at 4, 100.8 at 8, 88.9 at 12 and 89.3
-# at 16: glibc heap retention, since block 8 reads 88.8 MB with its mmap
-# threshold pinned.
-_PATH_BLOCK = 16
-
-
 @dataclass(frozen=True)
 class TvSvmResult:
     model: SvmModel
@@ -131,15 +119,13 @@ def tv_svm(
     Models are trained on the first m = floor(n/2)+1 points along the
     descending grid, validated on the rest with clipped predictions, and
     the smallest lambda among the minimizers is returned.  The training
-    Gram is factored and checked PSD once for the whole path.  On a
-    factored Gram the interior point steps the grid in blocks of
-    _PATH_BLOCK lambdas, one row per lambda, and train is still called once
-    per lambda to take its row and run the crossover; each fit has the bits
-    of a train call at that lambda alone.  Coordinate descent, on a Gram
-    past the rank cutoff, is warm-started along the path (the dual box
-    rescales exactly by the ratio of consecutive lambdas).  A fit converged
-    when its duality gap is at most tol.  A tol that is NaN or negative, or
-    max_iter < 1, raises ValueError before the Gram is built.
+    Gram is factored and checked PSD once for the whole path, and its
+    _Gram.path solves the grid on that Gram's engine; train is called once
+    per lambda to take the finished fit.  On a factored Gram each fit has
+    the bits of a train call at that lambda alone; coordinate descent, past
+    the rank cutoff, starts each lambda from the previous fit.  A fit
+    converged when its duality gap is at most tol.  A tol that is NaN or
+    negative, or max_iter < 1, raises ValueError before the Gram is built.
     """
     n = len(data)
     if n < 3:
@@ -154,22 +140,12 @@ def tv_svm(
     risks: dict[float, float] = {}
     diags: dict[float, SolveDiagnostics] = {}
     models: dict[float, SvmModel] = {}
-    warm = None
-    prev_lam = None
-    for start in range(0, len(grid.values), _PATH_BLOCK):
-        block = grid.values[start:start + _PATH_BLOCK]
-        if g1.chol is not None:
-            g1.solve_block(d1.y, block, tv, max_iter)
-        for lam in block:  # descending
-            if warm is not None:
-                warm = warm * (prev_lam / lam)
-            model, diag = train(d1, spec, lam, tv, tol, max_iter, warm_start=warm, gram_matrix=g1)
-            warm = model.coef.copy()
-            prev_lam = lam
-            preds = np.clip(k21 @ model.coef, -1.0, 1.0)
-            risks[lam] = float(np.mean(pinball_loss(tv, d2.y, preds)))
-            diags[lam] = diag
-            models[lam] = model
+    for lam in g1.path(d1.y, grid.values, tv, tol, max_iter):  # descending
+        model, diag = train(d1, spec, lam, tv, tol, max_iter, gram_matrix=g1)
+        preds = np.clip(k21 @ model.coef, -1.0, 1.0)
+        risks[lam] = float(np.mean(pinball_loss(tv, d2.y, preds)))
+        diags[lam] = diag
+        models[lam] = model
 
     chosen = None
     best = math.inf

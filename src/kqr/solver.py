@@ -35,9 +35,9 @@ _RANK_CUTOFF.
   fifth epoch.
 
 Each Gram is factored once: a caller that trains along a lambda path
-prepares it with _prepare, solves each block of lambdas on it with
-_Gram.solve_block, and passes it to train as gram_matrix.  The
-factorization is also the PSD check.  With G = L L' + E and L L' PSD,
+prepares it with _prepare, walks the grid with _Gram.path, which runs the
+engine's path, and passes it to train as gram_matrix to take each fit.
+The factorization is also the PSD check.  With G = L L' + E and L L' PSD,
 Gershgorin's discs of the residual E bound the smallest eigenvalue of G
 from below.  Past _RANK_CUTOFF, one dense Cholesky of G certifies it
 instead: one that succeeds in floating point bounds the smallest
@@ -122,6 +122,14 @@ _RANK_CUTOFF = 200
 # within roundoff is kept.
 _IP_MU_TOL = 1e-12
 _IP_RES_TOL = 1e-9
+# _Gram.path solves this many lambdas at once, which bounds a path's memory
+# at O(block m + m r).  A rate round (Gaussian(0.5), n = 128 ... 2048, 15 to
+# 23 lambdas a path, 2-core machine) took 0.61 s solving one lambda at a
+# time, 0.47 s in blocks of 4, and 0.41 to 0.42 s in blocks of 8, 12 or 16
+# or one per path.  Peak RSS over 15 rounds in one process read 89.3 MB one
+# at a time, 89.6 at 4, 100.8 at 8 (glibc heap retention: 88.8 with its mmap
+# threshold pinned), 88.9 at 12 and 89.3 at 16.
+_PATH_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -513,30 +521,56 @@ class _Gram:
     """A Gram matrix checked PSD, with its pivoted Cholesky factor (None once
     the rank passes _RANK_CUTOFF).  Build it with _prepare.
 
-    A lambda path on a factored Gram runs the interior point on a block of
-    lambdas at once with solve_block; each row waits in `solved`, keyed by
-    lambda, until train takes it."""
+    path solves a lambda grid in blocks with solve_block, on the engine the
+    factor selects; each fit waits in `solved`, keyed by lambda, until
+    train takes it."""
 
     matrix: np.ndarray
     chol: np.ndarray | None
     solved: dict = field(default_factory=dict)
 
-    def solve_block(self, y, lams, tau, max_iter) -> None:
-        """Step the interior point on every lambda of lams together and keep
-        each row for the train call at that lambda."""
+    def solve_block(self, y, lams, tau, tol, max_iter, start=None):
+        """Keep the fit (alpha, f, P, P - D, iterations) of every lambda of
+        lams for train.  A factored Gram steps the interior point on the
+        block together, then runs each row's crossover.  Otherwise coordinate
+        descent starts each lambda from the last (lambda, alpha), the first
+        from start (zero if None); the last one is returned for the next."""
         y = np.array(y)   # a copy, to match against train's y
-        u, at_lo, at_up, iters = _interior_point(self.chol, y, lams, tau, max_iter)
+        n = len(y)
+        if self.chol is not None:
+            u, at_lo, at_up, iters = _interior_point(self.chol, y, lams, tau, max_iter)
         for i, lam in enumerate(lams):
-            self.solved[lam] = (tau, max_iter, y, u[i], at_lo[i], at_up[i], int(iters[i]))
+            lo, up = _bounds(tau, lam, n)
+            if self.chol is None:
+                # the dual box rescales exactly by the ratio of the lambdas
+                alpha0 = np.zeros(n) if start is None else np.clip(start[1] * (start[0] / lam), lo, up)
+                fit = _coordinate_descent(self.matrix, y, lam, tau, lo, up, alpha0, tol, max_iter)
+                start = lam, fit[0]
+            else:
+                # crossover: snap to the bounds the multipliers select
+                raw = np.clip(u[i] / (2.0 * lam * n), lo, up)
+                snapped = raw.copy()
+                snapped[at_lo[i]], snapped[at_up[i]] = lo, up
+                fit = (*_crossover(self.matrix, y, lam, tau, raw, snapped, lo, up), int(iters[i]))
+            self.solved[lam] = (tau, tol, max_iter, y, fit)
+        return start
 
-    def solution(self, y, lam, tau, max_iter):
-        """(u, at_lo, at_up, iterations) at lam: the row solve_block kept if
-        it was solved with the same tau, max_iter and y, else a block of one."""
+    def path(self, y, lams, tau, tol, max_iter):
+        """Solve the descending lams in blocks of _PATH_BLOCK and yield each
+        lambda once its fit waits in `solved`."""
+        start = None
+        for i in range(0, len(lams), _PATH_BLOCK):
+            start = self.solve_block(y, lams[i:i + _PATH_BLOCK], tau, tol, max_iter, start)
+            yield from lams[i:i + _PATH_BLOCK]
+
+    def solution(self, y, lam, tau, tol, max_iter):
+        """The fit at lam that solve_block kept for the same tau, tol,
+        max_iter and y, else that of a cold block of one."""
         row = self.solved.pop(lam, None)
-        if row is None or row[:2] != (tau, max_iter) or not np.array_equal(row[2], y):
-            self.solve_block(y, [lam], tau, max_iter)
+        if row is None or row[:3] != (tau, tol, max_iter) or not np.array_equal(row[3], y):
+            self.solve_block(y, [lam], tau, tol, max_iter)
             row = self.solved.pop(lam)
-        return row[3:]
+        return row[4]
 
 
 def _prepare(g: np.ndarray) -> _Gram:
@@ -597,7 +631,6 @@ def train(
     tol: float = _TOL,
     max_iter: int = _MAX_ITER,
     *,
-    warm_start: np.ndarray | None = None,
     gram_matrix: np.ndarray | _Gram | None = None,
 ) -> tuple[SvmModel, SolveDiagnostics]:
     """Solve the regularized pinball-risk problem in the dual.
@@ -606,38 +639,23 @@ def train(
     that a lambda path factors and checks it once; a Gram that is not PSD
     raises ValueError before any solve.  A Gram of numerical rank at most
     _RANK_CUTOFF goes to the interior point and its crossover, with max_iter
-    capping the Newton iterations.  When gram_matrix holds a row that
-    _Gram.solve_block stepped with a block of lambdas, solved at this lam,
-    tau, max_iter and y, train takes it; otherwise it solves a block of
-    one, and the row has the same bits either way.  Any other Gram goes to
-    coordinate descent, with max_iter capping the epochs and warm_start
-    setting its start (the interior point ignores it).  Either way the
-    result is box feasible and converged means a duality gap of at most
-    tol, in objective units; otherwise the last iterate comes back with
-    converged=False.  A lambda that is not finite and positive, a tol that
-    is NaN or negative, or max_iter < 1 raises ValueError before any work.
+    capping the Newton iterations; any other to coordinate descent, with
+    max_iter capping the epochs.  train takes the fit _Gram.path left in
+    gram_matrix at this lam, tau, tol, max_iter and y, or solves a cold
+    block of one.  Either way the result is box feasible and converged
+    means a duality gap of at most tol, in objective units; otherwise the
+    last iterate comes back with converged=False.  A lambda that is not
+    finite and positive, a tol that is NaN or negative, or max_iter < 1
+    raises ValueError before any work.
     """
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be finite and positive")
     _check_stopping(tol, max_iter)
     tv = tau_value(tau)
-    n = len(data)
     if not isinstance(gram_matrix, _Gram):
         gram_matrix = _prepare(gram(spec, data.x) if gram_matrix is None else gram_matrix)
-    g, chol = gram_matrix.matrix, gram_matrix.chol
-    lo, up = _bounds(tv, lam, n)
-    if chol is None:
-        alpha0 = np.zeros(n) if warm_start is None else np.clip(warm_start, lo, up)
-        alpha, fvals, primal, gap, iters = _coordinate_descent(
-            g, data.y, lam, tv, lo, up, alpha0, tol, max_iter
-        )
-    else:
-        u, at_lo, at_up, iters = gram_matrix.solution(data.y, lam, tv, max_iter)
-        # crossover: snap to the bounds the multipliers select
-        raw = np.clip(u / (2.0 * lam * n), lo, up)
-        snapped = raw.copy()
-        snapped[at_lo], snapped[at_up] = lo, up
-        alpha, fvals, primal, gap = _crossover(g, data.y, lam, tv, raw, snapped, lo, up)
+    alpha, fvals, primal, gap, iters = gram_matrix.solution(data.y, lam, tv, tol, max_iter)
+    lo, up = _bounds(tv, lam, len(data))
     model = SvmModel(support_x=data.x, coef=alpha, kernel=spec, lam=lam, tau=tv)
     diagnostics = SolveDiagnostics(
         iterations=iters,

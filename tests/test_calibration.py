@@ -110,6 +110,15 @@ def test_check_self_calibration_worked_example(unit_uniform):
     assert rep.params["q"] == 2.0 and rep.params["gamma_inv_norm"] == pytest.approx(2.0)
 
 
+def test_check_of_no_function_is_rejected(unit_uniform):
+    """An empty report would pass with nothing checked."""
+    for check in (check_self_calibration, check_variance_bound):
+        with pytest.raises(ValueError, match="at least one"):
+            check(unit_uniform, 0.5, math.inf, [])
+        with pytest.raises(ValueError, match="at least one"):
+            check(unit_uniform, 0.5, 4.0, random_test_functions(8, 0, seed=1))
+
+
 def test_check_both_sides_vanish_at_quantile():
     m = uniform_noise(location=ZeroLocation())
 
@@ -169,6 +178,10 @@ def test_function_values_validated(unit_uniform):
     for values in ([np.nan, 0.2], [5.0, 0.2]):
         with pytest.raises(ValueError):
             PiecewiseConstant(edges, np.array(values))
+    # breakpoints that do not partition [-1, 1] would integrate another set
+    for breakpoints in ([0.0, 0.5, 1.0], [1.0, 0.0, -1.0], [-1.0, np.nan, 1.0]):
+        with pytest.raises(ValueError, match="breakpoints"):
+            PiecewiseConstant(np.array(breakpoints), np.array([0.3, -0.2]))
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])

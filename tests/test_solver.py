@@ -242,7 +242,8 @@ def test_tv_svm_path_certified_down_to_tiny_lambda(monkeypatch, model, n, seed, 
 
 def test_tv_svm_factors_its_gram_once(monkeypatch):
     from kqr import solver
-    from kqr.experiments import _PATH_BLOCK, lambda_grid, tv_svm
+    from kqr.experiments import lambda_grid, tv_svm
+    from kqr.solver import _PATH_BLOCK
 
     calls = {}
 
@@ -345,17 +346,60 @@ def test_train_takes_a_stored_row_only_when_it_matches():
     from kqr.kernels import gram
     from kqr.solver import _prepare
 
-    data = sample_joint(uniform_noise(), 150, seed=13)
-    halved = Dataset(data.x, 0.5 * data.y)
     lams = (2.0**-4, 2.0**-9)
-    # a row solved for tau 0.4, max_iter 300 and data.y serves none of these
-    for d, tau, max_iter in [(data, 0.6, 300), (data, 0.4, 5), (halved, 0.4, 300)]:
-        g = _prepare(gram(SPEC, data.x))
-        g.solve_block(data.y, lams, 0.4, 300)
-        fit, diag = train(d, SPEC, lams[1], tau, 1e-4, max_iter, gram_matrix=g)
-        alone, alone_diag = train(d, SPEC, lams[1], tau, 1e-4, max_iter)
-        assert np.array_equal(fit.coef, alone.coef)
-        assert diag.iterations == alone_diag.iterations
+    # a low-rank Gaussian Gram runs the interior point; m = 260 passes the
+    # rank cutoff for Matern(1/2), where coordinate descent warm-starts the
+    # stored fit at lams[1] from lams[0], and its fits depend on tol
+    for spec, n, seed in [(SPEC, 150, 13), (MaternKernel(0.5, 0.5), 260, 14)]:
+        data = sample_joint(uniform_noise(), n, seed=seed)
+        halved = Dataset(data.x, 0.5 * data.y)
+        # a fit solved for tau 0.4, tol 1e-4, max_iter 300 and data.y serves
+        # none of these
+        for d, tau, tol, max_iter in [(data, 0.6, 1e-4, 300), (data, 0.4, 1e-4, 5),
+                                      (halved, 0.4, 1e-4, 300), (data, 0.4, 1e-5, 300)]:
+            g = _prepare(gram(spec, data.x))
+            assert (g.chol is None) == (spec is not SPEC)
+            g.solve_block(data.y, lams, 0.4, 1e-4, 300)
+            fit, diag = train(d, spec, lams[1], tau, tol, max_iter, gram_matrix=g)
+            alone, alone_diag = train(d, spec, lams[1], tau, tol, max_iter)
+            assert np.array_equal(fit.coef, alone.coef)
+            assert diag.iterations == alone_diag.iterations
+
+
+def test_coordinate_descent_path_warm_starts_each_lambda(monkeypatch):
+    """tv_svm on a full-rank Gram equals, bit for bit, the chain that starts
+    the first lambda from zero and each next one from the previous
+    coefficients times lam_prev / lam, clipped to the box."""
+    from kqr import experiments
+    from kqr.experiments import lambda_grid, tv_svm
+    from kqr.kernels import gram
+    from kqr.solver import _bounds, _coordinate_descent
+
+    fits = []
+
+    def recording(*args, **kwargs):
+        model, diag = train(*args, **kwargs)
+        fits.append((model, diag))
+        return model, diag
+
+    monkeypatch.setattr(experiments, "train", recording)
+    spec, n = MaternKernel(0.5, 0.5), 402
+    data = sample_joint(uniform_noise(), n, seed=16)
+    grid = lambda_grid(n)
+    tv_svm(data, spec, grid, 0.5, tol=1e-4, max_iter=300)
+    assert [fit.lam for fit, _ in fits] == list(grid.values)
+    m = n // 2 + 1
+    d1 = data.subset(0, m)
+    g = gram(spec, d1.x)
+    prev = None
+    for fit, diag in fits:
+        lo, up = _bounds(0.5, fit.lam, m)
+        start = np.zeros(m) if prev is None else np.clip(prev[1] * (prev[0] / fit.lam), lo, up)
+        alpha, _, primal, gap, epochs = _coordinate_descent(
+            g, d1.y, fit.lam, 0.5, lo, up, start, 1e-4, 300)
+        assert np.array_equal(fit.coef, alpha), fit.lam
+        assert (diag.iterations, diag.duality_gap, diag.final_objective) == (epochs, gap, primal)
+        prev = fit.lam, alpha
 
 
 def test_rank_four_polynomial_gram():
