@@ -18,7 +18,7 @@ and report the slack per test function.
 Quadrature strategy: one node set serves a whole list of test functions
 and every functional.  Each (function, cell) pair of a piecewise-constant
 f is split, all pairs at once, where f(x) - g(x) crosses a breakpoint of
-the noise law or a quantile endpoint and at the sine extrema, leaving
+the noise law or a quantile endpoint and at the extrema of g, leaving
 analytic integrands on each segment; a generic callable gets a composite
 rule on a uniform panel grid instead.  One batched Gauss-Legendre call
 places the nodes of every segment, the integrands are evaluated once over
@@ -118,11 +118,12 @@ def _nodes(model, frame, fs):
     hi = np.concatenate([np.empty(0)] + [e[1:] for e, _ in cells])[:, None]
     c = np.concatenate([np.empty(0)] + [v for _, v in cells])[:, None]
     # cut a cell where c - g(x) crosses a breakpoint of the noise law or a
-    # quantile endpoint, and at the sine extrema, so g is monotone on each
+    # quantile endpoint, and at the extrema of g, so g is monotone on each
     # segment and every crossing, tangential ones included, is a segment edge
     targets = np.union1d(frame.law.breakpoints, (frame.t1, frame.t2))
     crossings = model.location.crossings(c - targets, lo, hi)
-    extrema = np.where((lo < [-0.5, 0.5]) & ([-0.5, 0.5] < hi), [-0.5, 0.5], np.nan)
+    turns = np.asarray(model.location.extrema, dtype=float)
+    extrema = np.where((lo < turns) & (turns < hi), turns, np.nan)
     cuts = np.sort(np.hstack([lo, hi, extrema, *crossings.swapaxes(0, 1)]), axis=1)
     keep = cuts[:, 1:] - cuts[:, :-1] > 1e-14   # NaN pads compare false
     x, w = segment_nodes(cuts[:, :-1][keep], cuts[:, 1:][keep], _ORDER)

@@ -87,6 +87,8 @@ def _constructor_keys(name: str) -> set:
 def _location(section) -> SineLocation | ZeroLocation:
     kind = section.get("location", "sine")
     if kind == "zero":
+        if "amplitude" in section:
+            raise ConfigError("[model] amplitude needs location = sine; g is 0 for location = zero")
         return ZeroLocation()
     if kind == "sine":
         return SineLocation(**_given(section, amplitude=float))
@@ -121,8 +123,7 @@ SECTIONS = {
     "check": {"taus", "ps", "cells", "count", "tolerance", "xs", "t_points"},
     "data": {"n"},
     "svm": {"lambda", "tau", "tol", "max_iter"},
-    "rates": {"tau", "sample_sizes", "repetitions", "beta", "p", "q", "rho", "grid", "tol",
-              "max_iter"},
+    "rates": {"tau", "sample_sizes", "repetitions", "beta", "p", "q", "rho", "tol", "max_iter"},
     "spectrum": {"n", "dim", "floor"},
 }
 
@@ -344,8 +345,8 @@ def _cmd_rates(cfg, seed: int, strict_grid: bool) -> Outcome:
     rates = cfg["rates"]
     options = _given(rates, beta=float, p=float, q=float, tol=float, max_iter=int,
                      rho=lambda text: None if text.strip() == "estimate" else float(text))
-    if strict_grid or "grid" in rates:
-        options["grid_mode"] = "strict" if strict_grid else rates["grid"]
+    if strict_grid:
+        options["grid_mode"] = "strict"
     report = learning_rate_experiment(RateConfig(
         model=build_model(cfg["model"]),
         kernel=kernel_spec_from_dict(cfg["kernel"]),

@@ -21,7 +21,7 @@ Four families are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -109,6 +109,7 @@ class SineLocation:
     """g(x) = amplitude * sin(pi * x_1)."""
 
     amplitude: float = 0.5
+    extrema: ClassVar[tuple[float, ...]] = (-0.5, 0.5)  # x_1 where g turns
 
     def __call__(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -130,7 +131,10 @@ class SineLocation:
 
 @dataclass(frozen=True)
 class ZeroLocation:
-    amplitude: float = 0.0
+    """g(x) = 0."""
+
+    amplitude: ClassVar[float] = 0.0
+    extrema: ClassVar[tuple[float, ...]] = ()
 
     def __call__(self, xs):
         xs = np.atleast_2d(np.asarray(xs, dtype=float))

@@ -139,22 +139,16 @@ def tv_svm(
 
     risks: dict[float, float] = {}
     diags: dict[float, SolveDiagnostics] = {}
-    models: dict[float, SvmModel] = {}
+    chosen, best, best_model = None, math.inf, None
     for lam in g1.path(d1.y, grid.values, tv, tol, max_iter):  # descending
         model, diag = train(d1, spec, lam, tv, tol, max_iter, gram_matrix=g1)
         preds = np.clip(k21 @ model.coef, -1.0, 1.0)
         risks[lam] = float(np.mean(pinball_loss(tv, d2.y, preds)))
         diags[lam] = diag
-        models[lam] = model
-
-    chosen = None
-    best = math.inf
-    for lam in sorted(risks):  # ascending: ties resolve to the smallest lambda
-        if risks[lam] < best:
-            best = risks[lam]
-            chosen = lam
+        if risks[lam] <= best:  # descending: ties resolve to the smallest lambda
+            chosen, best, best_model = lam, risks[lam], model
     return TvSvmResult(
-        model=models[chosen],
+        model=best_model,
         chosen_lambda=chosen,
         validation_risks=risks,
         diagnostics=diags,

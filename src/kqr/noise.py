@@ -142,9 +142,8 @@ class NoiseLaw:
 
     @cached_property
     def support(self) -> tuple[float, float]:
-        los = [p.lo for p in self.pieces] + [a.location for a in self.atoms]
-        his = [p.hi for p in self.pieces] + [a.location for a in self.atoms]
-        return min(los), max(his)
+        z = self.breakpoints  # every piece end and atom
+        return float(z[0]), float(z[-1])
 
     @cached_property
     def breakpoints(self) -> np.ndarray:
@@ -255,54 +254,39 @@ class NoiseLaw:
                 return p
         return None
 
-    def quantile_interval(self, tau: float) -> tuple[float, float]:
-        """Exact [t_min, t_max] of the tau-quantile set, by a scan of the
-        law's stored CDF levels at its breakpoints."""
-        if not 0.0 < tau < 1.0:
-            raise ValueError("tau must lie in (0, 1)")
+    def _crossing(self, tau: float, above: bool) -> float:
+        """inf{t : F(t) >= tau}, or inf{t : F(t) > tau} when above is true,
+        by one upward scan of the law's stored CDF levels."""
         z = self.breakpoints
         f, fl = self._levels
-
-        # t_min = inf{t : F(t) >= tau}
-        t_min = z[-1]
         for k in range(len(z)):
-            if f[k] >= tau:
-                if fl[k] >= tau and k > 0:
-                    # crossing strictly inside (z[k-1], z[k]); invert the piece.
-                    # Landing on a segment edge is resolved exactly: inverting
-                    # there would amplify roundoff through the flat CDF of a
-                    # vanishing density.
-                    need = tau - f[k - 1]
-                    seg_mass = fl[k] - f[k - 1]
-                    if need >= seg_mass:
-                        t_min = float(z[k])
-                    else:
-                        piece = self._piece_covering(z[k - 1], z[k])
-                        base = piece.mass_between(piece.lo, z[k - 1])
-                        t_min = float(piece.ppf_from_lo(base + need))
-                else:
-                    t_min = float(z[k])
-                break
+            if f[k] > tau if above else f[k] >= tau:
+                # F jumps across tau at z[k]; always so at k = 0, where fl is 0
+                if fl[k] <= tau if above else fl[k] < tau:
+                    return float(z[k])
+                # the crossing lies in (z[k-1], z[k]]; invert the piece there.
+                # Landing on a gap edge is resolved exactly: inverting there
+                # would amplify roundoff through the flat CDF of a vanishing
+                # density.
+                need = tau - f[k - 1]
+                if need <= 0.0:
+                    return float(z[k - 1])
+                if need >= fl[k] - f[k - 1]:
+                    return float(z[k])
+                piece = self._piece_covering(z[k - 1], z[k])
+                if piece is None:
+                    return float(z[k - 1])
+                base = piece.mass_between(piece.lo, z[k - 1])
+                return float(piece.ppf_from_lo(base + need))
+        return float(z[-1])
 
-        # t_max = sup{t : P(Y < t) <= tau}
-        t_max = z[0]
-        for k in range(len(z) - 1, -1, -1):
-            if fl[k] <= tau:
-                if f[k] > tau or k == len(z) - 1:
-                    t_max = float(z[k])
-                else:
-                    piece = self._piece_covering(z[k], z[k + 1])
-                    need = tau - f[k]
-                    seg_mass = fl[k + 1] - f[k]
-                    if piece is None or need <= 0.0:
-                        t_max = float(z[k])
-                    elif need >= seg_mass:
-                        t_max = float(z[k + 1])
-                    else:
-                        base = piece.mass_between(piece.lo, z[k])
-                        t_max = float(piece.ppf_from_lo(base + need))
-                break
-
+    def quantile_interval(self, tau: float) -> tuple[float, float]:
+        """Exact [t_min, t_max] of the tau-quantile set: t_min = inf{t :
+        F(t) >= tau} and t_max = sup{t : F(t-) <= tau} = inf{t : F(t) > tau},
+        both the first crossing of level tau in the stored CDF levels."""
+        if not 0.0 < tau < 1.0:
+            raise ValueError("tau must lie in (0, 1)")
+        t_min, t_max = self._crossing(tau, False), self._crossing(tau, True)
         if t_max < t_min:  # can only be roundoff dust
             t_min = t_max = 0.5 * (t_min + t_max)
         return t_min, t_max

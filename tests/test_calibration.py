@@ -131,6 +131,17 @@ def test_check_both_sides_vanish_at_quantile():
     assert rep_v.lhs[0] <= 1e-12
 
 
+def test_zero_location_cuts_no_cell_at_the_sine_extrema():
+    """g = 0 has no extrema, so a constant f that meets no level of the law
+    gets one segment on [-1, 1]: the quadrature knows no sine shape."""
+    from kqr.calibration import _ORDER, _nodes
+    from kqr.inner_risk import noise_frame
+
+    model = uniform_noise(location=ZeroLocation())
+    w, _, bounds = _nodes(model, noise_frame(model.noise, 0.5), [const_fn(0.3)])
+    assert len(w) == _ORDER and list(bounds) == [0, _ORDER]
+
+
 def test_theta_exponent():
     assert theta_exponent(math.inf, 2.0) == 1.0
     assert theta_exponent(1.0, 2.0) == 0.5

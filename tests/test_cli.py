@@ -291,11 +291,11 @@ def test_rates_defaults_come_from_rate_config(tmp_path):
 
     from kqr.experiments import RateConfig
 
-    # the config key of each RateConfig option; rho = None reads "estimate"
-    keys = {"grid_mode": "grid"}
+    # every RateConfig option with a config key; rho = None reads "estimate",
+    # and grid_mode is set by --strict-grid alone
     spelled = "\n".join(
-        f"{keys.get(f.name, f.name)} = {'estimate' if f.default is None else f.default}"
-        for f in fields(RateConfig) if f.default is not MISSING)
+        f"{f.name} = {'estimate' if f.default is None else f.default}"
+        for f in fields(RateConfig) if f.default is not MISSING and f.name != "grid_mode")
     rates = "[rates]\nsample_sizes = 32\nrepetitions = 1\n"
     bare = write_config(tmp_path, rates, "bare.ini")
     full = write_config(tmp_path, rates + spelled + "\n", "full.ini")
@@ -350,6 +350,23 @@ def test_misspelled_model_key_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
     assert main(["check-calibration", "--config", cfg, "--out", str(out)]) == 2
     assert "exponant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_amplitude_with_zero_location_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[model]\nfamily = two-atom\nlocation = zero\namplitude = 0.3\n\n"
+                                 "[check]\ntaus = 0.5\nxs = 5\nt_points = 5\n")
+    out = tmp_path / "o"
+    assert main(["check-inner-risk", "--config", cfg, "--out", str(out)]) == 2
+    assert "amplitude" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rates_grid_comes_from_the_flag_alone(tmp_path, capsys):
+    cfg = write_config(tmp_path, RATES_CFG + "grid = strict\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 2
+    assert "grid" in capsys.readouterr().err
     assert not out.exists()
 
 

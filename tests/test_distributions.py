@@ -251,6 +251,16 @@ def test_support_constraint_enforced():
     uniform_noise(halfwidth=0.8, location=ZeroLocation())  # fine with g = 0
 
 
+def test_zero_location_has_no_amplitude_to_set():
+    """g is 0 whatever is asked: amplitude is a constant, not a parameter,
+    so the support check reads 0 and a model up to half-width 1 fits."""
+    with pytest.raises(TypeError):
+        ZeroLocation(amplitude=0.7)
+    assert ZeroLocation.amplitude == 0.0 and ZeroLocation.extrema == ()
+    model = bounded_density_mixture(halfwidth=1.0, location=ZeroLocation())
+    assert model.halfwidth == 1.0 and np.all(model.g(np.linspace(-1, 1, 5)[:, None]) == 0.0)
+
+
 def test_model_config_roundtrip():
     """Model definitions survive the key-value config format both ways."""
     import configparser

@@ -6,6 +6,7 @@ import pytest
 from kqr.distributions import uniform_noise, sample_joint
 from kqr.kernels import GaussianKernel
 from kqr.losses import Dataset, pinball_loss
+from kqr.solver import train
 from kqr.experiments import (
     RateConfig,
     RateReport,
@@ -97,6 +98,21 @@ def test_tv_svm_selection_is_argmin():
     assert res.validation_risks[res.chosen_lambda] == best
     ties = [lam for lam, r in res.validation_risks.items() if r == best]
     assert res.chosen_lambda == min(ties)
+
+
+def test_tv_svm_exact_tie_keeps_the_smallest_lambda_and_its_model():
+    # the validation points lie beyond the kernel's reach, so every
+    # prediction is exactly 0 and every lambda has the same validation risk
+    spec = GaussianKernel(0.01)
+    x = np.concatenate([np.linspace(-1.0, -0.9, 6), np.linspace(0.9, 1.0, 5)])
+    data = Dataset(x[:, None], 0.8 * np.sin(7.0 * x))
+    grid = lambda_grid(len(data), "geometric")
+    res = tv_svm(data, spec, grid, 0.3, tol=1e-6)
+    assert len(res.validation_risks) == len(grid.values) >= 2
+    assert len(set(res.validation_risks.values())) == 1
+    assert res.chosen_lambda == min(grid.values)
+    alone, _ = train(data.subset(0, 6), spec, res.chosen_lambda, 0.3, tol=1e-6)
+    assert np.array_equal(res.model.coef, alone.coef)
 
 
 def test_tv_svm_validation_risk_recompute():

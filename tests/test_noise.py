@@ -339,6 +339,49 @@ def test_quantile_interval_matches_reference(monkeypatch):
         assert [law.quantile_interval(tau) for tau in taus] == got
 
 
+def random_law(rng):
+    """1 to 3 power pieces, with a zero-density gap before each later piece
+    half the time, and 0 to 3 atoms at piece edges, inside pieces or in the
+    gaps.  Exponents come from {-0.5, 0, 0.5, 1, 2} and each piece's anchor
+    sits at its lower or upper end."""
+    n_pieces = int(rng.integers(1, 4))
+    ends = np.sort(rng.uniform(-1.0, 1.0, 2 * n_pieces))
+    for i in range(2, 2 * n_pieces, 2):
+        if rng.random() < 0.5:
+            ends[i] = ends[i - 1]  # no gap before this piece
+    spans = [(float(ends[i]), float(ends[i + 1])) for i in range(0, 2 * n_pieces, 2)]
+    candidates = [e for span in spans for e in span]
+    candidates += [float(rng.uniform(lo, hi)) for lo, hi in spans]
+    candidates += [0.5 * (a[1] + b[0]) for a, b in zip(spans[:-1], spans[1:]) if a[1] < b[0]]
+    locations = sorted(set(rng.choice(candidates, int(rng.integers(0, 4)), replace=False)))
+    weights = rng.dirichlet(np.ones(n_pieces + len(locations)))
+    pieces = []
+    for (lo, hi), w in zip(spans, weights):
+        p = float(rng.choice([-0.5, 0.0, 0.5, 1.0, 2.0]))
+        scale = w * (p + 1.0) / (hi - lo) ** (p + 1.0)
+        pieces.append(PowerPiece(lo, hi, lo if rng.random() < 0.5 else hi, p, scale))
+    atoms = [Atom(float(loc), float(w)) for loc, w in zip(locations, weights[n_pieces:])]
+    return NoiseLaw(pieces, atoms)
+
+
+def test_quantile_interval_matches_reference_on_random_laws():
+    """Bit for bit at every breakpoint level and both its float neighbours,
+    on laws with gaps between pieces, atoms on piece edges and inside
+    pieces, and singular or vanishing densities at either end."""
+    rng = np.random.default_rng(15)
+    gaps = 0
+    for _ in range(120):
+        law = random_law(rng)
+        f, fl = law._levels
+        levels = np.concatenate([f, fl])
+        taus = np.concatenate([levels, np.nextafter(levels, 0.0), np.nextafter(levels, 1.0)])
+        taus = np.unique(taus[(taus > 0.0) & (taus < 1.0)])
+        for tau in taus:
+            assert law.quantile_interval(tau) == reference_quantile_interval(law, tau)
+        gaps += any(a.hi < b.lo for a, b in zip(law.pieces[:-1], law.pieces[1:]))
+    assert gaps >= 20  # the zero-density gaps are exercised
+
+
 def reference_interval_moments(law, a, b):
     """interval_moments as first written: all three moments of every piece
     and atom, summed in the same order."""
