@@ -16,6 +16,7 @@ from .calibration import (
     check_variance_bound,
     dist_norm,
     excess_risk,
+    exponents,
     random_test_functions,
     variance_term,
 )
@@ -44,7 +45,6 @@ from .experiments import (
     lambda_grid,
     learning_rate_experiment,
     theoretical_gamma,
-    theoretical_theta,
     tv_svm,
 )
 from .inner_risk import (

@@ -50,6 +50,7 @@ __all__ = [
     "variance_term",
     "check_self_calibration",
     "check_variance_bound",
+    "exponents",
     "CalibrationReport",
 ]
 
@@ -231,31 +232,40 @@ class CalibrationReport:
         return bool(np.all(self.slack >= -self.tol))
 
 
+def exponents(model: ConditionalModel, tau, p) -> dict:
+    """tau, p and the exponents the model's certificate gives at them: q,
+    r = pq/(p+1), theta and ||1/gamma||_{L_p}.  CertificateError where the
+    model has none at tau."""
+    if not p > 0:
+        raise ValueError("p must be positive or inf")
+    tv = tau_value(tau)
+    cert = type_q_params(model, np.zeros(model.dim), tv)
+    # gamma is the same at every x, so its L_p(P_X) norm is 1/gamma
+    q = cert.q
+    r = q if math.isinf(p) else p * q / (p + 1.0)
+    return {"tau": tv, "p": p, "q": q, "r": r, "theta": theta_exponent(p, q),
+            "gamma_inv_norm": 1.0 / cert.gamma}
+
+
 def _check(kind, model, tau, p, fs, *, tol) -> CalibrationReport:
     """lhs, rhs = const * excess^exponent, and the params of one inequality."""
     if not tol >= 0:
         raise ValueError("tol must be >= 0")
     if len(fs) == 0:
         raise ValueError("need at least one test function")
-    tv = tau_value(tau)
-    cert = type_q_params(model, np.zeros(model.dim), tv)
-    if not p > 0:
-        raise ValueError("p must be positive or inf")
-    # gamma is the same at every x, so its L_p(P_X) norm is 1/gamma
-    q, gnorm = cert.q, 1.0 / cert.gamma
-    r = q if math.isinf(p) else p * q / (p + 1.0)
-    theta = theta_exponent(p, q)
+    params = exponents(model, tau, p)
+    q, theta, gnorm = params["q"], params["theta"], params["gamma_inv_norm"]
     if kind == "self-calibration":
         lhs_kind, exponent = "dist", 1.0 / q
         const = 2.0 ** (1.0 - 1.0 / q) * q ** (1.0 / q) * gnorm ** (1.0 / q)
     else:
         lhs_kind, exponent = "variance", theta
         const = 2.0 ** (2.0 - theta) * q**theta * gnorm**theta
-    vals = _evaluate(model, tv, fs, ("excess", lhs_kind), r=r)
+    vals = _evaluate(model, params["tau"], fs, ("excess", lhs_kind), r=params["r"])
     return CalibrationReport(
         lhs=vals[lhs_kind],
         rhs=const * np.maximum(vals["excess"], 0.0) ** exponent,
-        params={"tau": tv, "p": p, "q": q, "r": r, "theta": theta, "gamma_inv_norm": gnorm},
+        params=params,
         tol=tol,
     )
 

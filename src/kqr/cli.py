@@ -123,7 +123,7 @@ SECTIONS = {
     "check": {"taus", "ps", "cells", "count", "tolerance", "xs", "t_points"},
     "data": {"n"},
     "svm": {"lambda", "tau", "tol", "max_iter"},
-    "rates": {"tau", "sample_sizes", "repetitions", "beta", "p", "q", "rho", "tol", "max_iter"},
+    "rates": {"tau", "sample_sizes", "repetitions", "beta", "rho", "tol", "max_iter"},
     "spectrum": {"n", "dim", "floor"},
 }
 
@@ -343,7 +343,7 @@ def _cmd_tv_svm(cfg, seed: int, strict_grid: bool) -> Outcome:
 
 def _cmd_rates(cfg, seed: int, strict_grid: bool) -> Outcome:
     rates = cfg["rates"]
-    options = _given(rates, beta=float, p=float, q=float, tol=float, max_iter=int,
+    options = _given(rates, beta=float, tol=float, max_iter=int,
                      rho=lambda text: None if text.strip() == "estimate" else float(text))
     if strict_grid:
         options["grid_mode"] = "strict"

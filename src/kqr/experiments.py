@@ -10,16 +10,19 @@ fitted log-log slope with the theoretical exponent
 
     gamma = min( beta / (beta*(2 - theta + rho*theta - rho) + rho),
                  2*beta / (beta + 1) ).
+
+theta, q and the distance's norm L_r come from the model's certificate at
+the run's tau (calibration.exponents), and the distance decays like n^(-gamma/q).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .calibration import _evaluate, theta_exponent
+from .calibration import _evaluate, exponents
 from .distributions import ConditionalModel, sample_joint
 from .kernels import gram, spectrum_decay
 from .losses import Dataset, pinball_loss, tau_value
@@ -40,7 +43,6 @@ __all__ = [
     "lambda_grid",
     "TvSvmResult",
     "tv_svm",
-    "theoretical_theta",
     "theoretical_gamma",
     "RateConfig",
     "RateRow",
@@ -155,14 +157,6 @@ def tv_svm(
     )
 
 
-def theoretical_theta(p, q) -> float:
-    if not p > 0:
-        raise ValueError("p must be positive or inf")
-    if not q >= 1:
-        raise ValueError("q must be >= 1")
-    return theta_exponent(p, q)
-
-
 def _check_rho(rho: float) -> None:
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
@@ -180,6 +174,11 @@ def theoretical_gamma(beta: float, theta: float, rho: float) -> float:
     return min(first, second)
 
 
+# gamma is the same at every x for every family, so each ||1/gamma||_{L_p} is
+# finite, and p = inf gives the largest theta
+_RATE_P = math.inf
+
+
 @dataclass(frozen=True)
 class RateConfig:
     model: ConditionalModel
@@ -189,23 +188,29 @@ class RateConfig:
     repetitions: int
     seed: int
     beta: float = 1.0
-    p: float = math.inf
-    q: float = 2.0
+    # accepted only at the certificate's values, and they drive nothing; they
+    # go once the benchmark harness stops passing them
+    p: InitVar[float | None] = None
+    q: InitVar[float | None] = None
     rho: float | None = 0.1          # None: estimate via spectrum_decay
     grid_mode: str = "geometric"
     tol: float = 1e-4
     max_iter: int = 300
 
-    def __post_init__(self):
+    def __post_init__(self, p, q):
         if any(n < 4 for n in self.sample_sizes):
             raise ValueError("sample sizes must be >= 4")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if not 0.0 < self.beta <= 1.0:
             raise ValueError("beta must lie in (0, 1]")
-        # the exponents' own checks, so that bad values fail before any fit;
-        # an estimated rho is checked once it is known
-        theoretical_theta(self.p, self.q)
+        # the certificate and rho fail here, before any fit; an estimated rho
+        # is checked once it is known
+        certified = exponents(self.model, self.tau, _RATE_P)
+        for name, given in (("p", p), ("q", q)):
+            if given is not None and given != certified[name]:
+                raise ValueError(f"{name} = {given} disagrees with the certificate's "
+                                 f"{name} = {certified[name]}")
         if self.rho is not None:
             _check_rho(self.rho)
         _check_stopping(self.tol, self.max_iter)
@@ -230,6 +235,8 @@ class RateReport:
     theoretical_gamma: float
     theoretical_gamma_over_q: float
     rho_used: float
+    exponents: dict = field(default_factory=dict)   # calibration.exponents at the run's tau
+    sources: dict = field(default_factory=dict)     # exponent -> certificate, config or estimate
     mean_excess: dict[int, float] = field(default_factory=dict)
     mean_dist: dict[int, float] = field(default_factory=dict)
     convergence: dict[int, dict] = field(default_factory=dict)   # n -> every fit of every rep
@@ -242,6 +249,7 @@ class RateReport:
              for row in self.rows))
 
     def summary(self) -> dict:
+        p = self.exponents.get("p")
         return {
             "excess_slope": self.excess_slope,
             "dist_slope": self.dist_slope,
@@ -257,6 +265,11 @@ class RateReport:
                 for n in sorted({row.n for row in self.rows})
             },
             "convergence": {str(k): v for k, v in sorted(self.convergence.items())},
+            "q": self.exponents.get("q"),
+            # "inf", as the check CSVs spell it, so that the file stays strict JSON
+            "p": "inf" if p == math.inf else p,
+            "theta": self.exponents.get("theta"),
+            "sources": self.sources,
         }
 
 
@@ -286,7 +299,7 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
     the report is reproducible and items could run in any order.
     """
     tv = tau_value(config.tau)
-    r = config.q if math.isinf(config.p) else config.p * config.q / (config.p + 1.0)
+    exps = exponents(config.model, tv, _RATE_P)
     rho = _resolve_rho(config)
     rows: list[RateRow] = []
     diags: dict[int, list[SolveDiagnostics]] = {}
@@ -305,7 +318,7 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
                 return np.atleast_1d(predict_clipped(result.model, xs))
 
             # excess risk and distance from one evaluation of f on the nodes
-            risks = _evaluate(config.model, tv, [f], ("excess", "dist"), r=r)
+            risks = _evaluate(config.model, tv, [f], ("excess", "dist"), r=exps["r"])
             rows.append(RateRow(
                 n=n,
                 rep=rep,
@@ -329,16 +342,18 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
         excess_slope = fit_loglog_slope(ns, [mean_excess[n] for n in ns])
         dist_slope = fit_loglog_slope(ns, [mean_dist[n] for n in ns])
 
-    theta = theoretical_theta(config.p, config.q)
-    gamma = theoretical_gamma(config.beta, theta, rho)
+    gamma = theoretical_gamma(config.beta, exps["theta"], rho)
     return RateReport(
         rows=rows,
-        r_norm=r,
+        r_norm=exps["r"],
         excess_slope=excess_slope,
         dist_slope=dist_slope,
         theoretical_gamma=gamma,
-        theoretical_gamma_over_q=gamma / config.q,
+        theoretical_gamma_over_q=gamma / exps["q"],
         rho_used=rho,
+        exponents=exps,
+        sources={"q": "certificate", "p": "certificate", "beta": "config",
+                 "rho": "config" if config.rho is not None else "estimate"},
         mean_excess=mean_excess,
         mean_dist=mean_dist,
         convergence={n: _convergence(v) for n, v in diags.items()},

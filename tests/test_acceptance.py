@@ -205,8 +205,6 @@ def rate_report():
         sample_sizes=(128, 256, 512, 1024, 2048),
         repetitions=20,
         seed=1,
-        p=math.inf,
-        q=2.0,
         rho=0.1,
         tol=1e-4,
         max_iter=300,

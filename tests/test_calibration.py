@@ -10,11 +10,12 @@ from kqr.calibration import (
     check_variance_bound,
     dist_norm,
     excess_risk,
+    exponents,
     random_test_functions,
     theta_exponent,
     variance_term,
 )
-from kqr.distributions import ZeroLocation, quantile_set, uniform_noise
+from kqr.distributions import CertificateError, ZeroLocation, quantile_set, uniform_noise
 
 
 def const_fn(c):
@@ -146,6 +147,27 @@ def test_theta_exponent():
     assert theta_exponent(math.inf, 2.0) == 1.0
     assert theta_exponent(1.0, 2.0) == 0.5
     assert theta_exponent(math.inf, 4.0) == 0.5
+
+
+def test_exponents_are_the_checks_params(all_families):
+    """One source: the checks report exactly the exponents the certificate
+    gives, and a tau without a certificate fails both alike."""
+    fs = [const_fn(0.3)]
+    for model in all_families:
+        for tau in (0.1, 0.5, 0.9):
+            for p in (1.0, 4.0, math.inf):
+                try:
+                    want = exponents(model, tau, p)
+                except CertificateError:
+                    with pytest.raises(CertificateError):
+                        check_self_calibration(model, tau, p, fs)
+                    continue
+                assert check_self_calibration(model, tau, p, fs).params == want
+                assert check_variance_bound(model, tau, p, fs).params == want
+                assert want["r"] == (want["q"] if math.isinf(p) else p * want["q"] / (p + 1))
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="p must be positive"):
+            exponents(all_families[0], 0.5, bad)
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])

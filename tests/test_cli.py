@@ -370,18 +370,50 @@ def test_rates_grid_comes_from_the_flag_alone(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_bad_rates_exponents_exit_2_before_any_fit(tmp_path, monkeypatch):
+def test_bad_rates_exponents_exit_2_before_any_fit(tmp_path, monkeypatch, capsys):
     from kqr import experiments
 
     def refuse(*args, **kwargs):
         raise AssertionError("a fit ran before the config was validated")
 
     monkeypatch.setattr(experiments, "train", refuse)
-    for i, bad in enumerate(["q = 0.5", "q = nan", "p = 0", "p = -inf", "rho = 1.5", "rho = 0"]):
-        cfg = write_config(tmp_path, RATES_CFG + bad + "\n", f"case{i}.ini")
+    # q and p come from the model's certificate, so the config cannot set them
+    no_certificate = (RATES_CFG.replace("family = bounded-density-mixture",
+                                        "family = dirac-atom-mixture")
+                      .replace("tau = 0.5", "tau = 0.05"))
+    cases = [(RATES_CFG + bad + "\n", "unknown [rates] key")
+             for bad in ["q = 0.5", "q = nan", "p = 0", "p = -inf"]]
+    cases += [(RATES_CFG + bad + "\n", "rho") for bad in ["rho = 1.5", "rho = 0"]]
+    cases += [(no_certificate, "certificate")]
+    for i, (text, named) in enumerate(cases):
+        cfg = write_config(tmp_path, text, f"case{i}.ini")
         out = tmp_path / f"o{i}"
-        assert main(["rates", "--config", cfg, "--out", str(out)]) == 2, bad
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 2, text
+        assert named in capsys.readouterr().err, text
         assert not out.exists()
+
+
+def test_rates_exponents_come_from_the_certificate(tmp_path):
+    """Two atoms at -0.5 and 0.5 of mass 1/2 have type q = 1 at tau = 0.5, and
+    there the distance to the quantile set is twice the excess risk at every
+    x, so the L_1 norm the run measures is exactly twice the excess."""
+    cfg = write_config(tmp_path, RATES_CFG.replace("family = bounded-density-mixture",
+                                                   "family = two-atom"))
+    out = tmp_path / "r"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["q"] == 1.0 and summary["p"] == "inf" and summary["theta"] == 1.0
+    assert summary["r_norm"] == 1.0
+    assert summary["theoretical_gamma_over_q"] == summary["theoretical_gamma"]
+    assert summary["sources"] == {"q": "certificate", "p": "certificate", "beta": "config",
+                                  "rho": "config"}
+    lines = (out / "report.csv").read_text().strip().split("\n")
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    assert rows
+    for row in rows:
+        assert float(row["dist_norm"]) == pytest.approx(2.0 * float(row["excess_risk"]),
+                                                        rel=1e-12)
 
 
 def test_bad_solver_settings_exit_2_before_any_gram(tmp_path, monkeypatch):

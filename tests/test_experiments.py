@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kqr.distributions import uniform_noise, sample_joint
+from kqr.distributions import CertificateError, dirac_atom_mixture, sample_joint, uniform_noise
 from kqr.kernels import GaussianKernel
 from kqr.losses import Dataset, pinball_loss
 from kqr.solver import train
@@ -15,7 +15,6 @@ from kqr.experiments import (
     lambda_grid,
     learning_rate_experiment,
     theoretical_gamma,
-    theoretical_theta,
     tv_svm,
 )
 
@@ -127,14 +126,6 @@ def test_tv_svm_validation_risk_recompute():
     assert res.validation_risks[res.chosen_lambda] == pytest.approx(want, abs=1e-12)
 
 
-def test_theoretical_theta():
-    assert theoretical_theta(math.inf, 2.0) == 1.0
-    assert theoretical_theta(1.0, 2.0) == 0.5
-    assert theoretical_theta(math.inf, 4.0) == 0.5
-    with pytest.raises(ValueError):
-        theoretical_theta(-1.0, 2.0)
-
-
 def test_theoretical_gamma():
     assert theoretical_gamma(1.0, 1.0, 0.5) == pytest.approx(2.0 / 3.0)
     assert theoretical_gamma(0.5, 0.0, 0.5) == pytest.approx(0.4)
@@ -199,6 +190,19 @@ def test_rate_config_validation():
         small_config(repetitions=0)
     with pytest.raises(ValueError):
         small_config(beta=1.5)
+
+
+def test_rate_exponents_come_from_the_certificate():
+    """p and q are accepted only at the certificate's values and drive
+    nothing; a tau without a certificate fails before any fit."""
+    bare, spelled = small_config(), small_config(p=math.inf, q=2.0)
+    assert learning_rate_experiment(spelled).rows == learning_rate_experiment(bare).rows
+    with pytest.raises(ValueError, match=r"q = 1\.0 .* q = 2\.0"):
+        small_config(q=1.0)
+    with pytest.raises(ValueError, match=r"p = 4\.0 .* p = inf"):
+        small_config(p=4.0)
+    with pytest.raises(CertificateError):
+        small_config(model=dirac_atom_mixture(), tau=0.05)
 
 
 def test_rho_estimation_path():
