@@ -19,15 +19,17 @@ Quadrature strategy: one node set serves a whole list of test functions
 and every functional.  Each (function, cell) pair of a piecewise-constant
 f is split, all pairs at once, where f(x) - g(x) crosses a breakpoint of
 the noise law or a quantile endpoint and at the extrema of g, leaving
-analytic integrands on each segment; a generic callable gets a composite
-rule on a uniform panel grid instead.  One batched Gauss-Legendre call
-places the nodes of every segment, the integrands are evaluated once over
-all nodes, and each function's contiguous slice is summed on its own, so
-a function gets the same numbers alone as in a batch.  The excess and
-variance integrands both read the noise moments over the interval between
-s = f(x) - g(x) and its projection onto the quantile set, so one
-moment evaluation per node set serves both, with m2 only when the
-variance is asked for.
+analytic integrands on each segment.  Those cut targets come sorted with
+the law's frame at tau, which is built once per (law, tau), as is the
+certificate, so repeated checks at one level rebuild neither.  A generic
+callable gets a composite rule on a uniform panel grid instead.  One
+batched Gauss-Legendre call places the nodes of every segment, the
+integrands are evaluated once over all nodes, and each function's
+contiguous slice is summed on its own, so a function gets the same
+numbers alone as in a batch.  The excess and variance integrands both
+read the noise moments over the interval between s = f(x) - g(x) and its
+projection onto the quantile set, so one moment evaluation per node set
+serves both, with m2 only when the variance is asked for.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import ConditionalModel, type_q_params
+from .distributions import ConditionalModel, gamma_inv_norm, type_q_params
 from .inner_risk import excess_from_moments, noise_frame
 from .losses import tau_value
 from .util import segment_nodes
@@ -104,6 +106,8 @@ def random_test_functions(cells: int, count: int, seed: int) -> list[PiecewiseCo
 
 _ORDER = 24     # Gauss-Legendre nodes per segment
 _PANELS = 128   # equal panels of [-1, 1] for a callable test function
+_EDGES = np.linspace(-1.0, 1.0, _PANELS + 1)
+_EDGES.flags.writeable = False
 
 
 def _nodes(model, frame, fs):
@@ -112,17 +116,15 @@ def _nodes(model, frame, fs):
     calls = [i for i, f in enumerate(fs) if not isinstance(f, PiecewiseConstant)]
     # one row per (function, cell); a callable's cells are _PANELS equal
     # panels of [-1, 1], with its values unknown (NaN) until it is called
-    edges = np.linspace(-1.0, 1.0, _PANELS + 1)
     cells = [(f.breakpoints, f.values) if isinstance(f, PiecewiseConstant)
-             else (edges, np.full(_PANELS, np.nan)) for f in fs]
+             else (_EDGES, np.full(_PANELS, np.nan)) for f in fs]
     lo = np.concatenate([np.empty(0)] + [e[:-1] for e, _ in cells])[:, None]
     hi = np.concatenate([np.empty(0)] + [e[1:] for e, _ in cells])[:, None]
     c = np.concatenate([np.empty(0)] + [v for _, v in cells])[:, None]
     # cut a cell where c - g(x) crosses a breakpoint of the noise law or a
     # quantile endpoint, and at the extrema of g, so g is monotone on each
     # segment and every crossing, tangential ones included, is a segment edge
-    targets = np.union1d(frame.law.breakpoints, (frame.t1, frame.t2))
-    crossings = model.location.crossings(c - targets, lo, hi)
+    crossings = model.location.crossings(c - frame.targets, lo, hi)
     turns = np.asarray(model.location.extrema, dtype=float)
     extrema = np.where((lo < turns) & (turns < hi), turns, np.nan)
     cuts = np.sort(np.hstack([lo, hi, extrema, *crossings.swapaxes(0, 1)]), axis=1)
@@ -239,12 +241,10 @@ def exponents(model: ConditionalModel, tau, p) -> dict:
     if not p > 0:
         raise ValueError("p must be positive or inf")
     tv = tau_value(tau)
-    cert = type_q_params(model, np.zeros(model.dim), tv)
-    # gamma is the same at every x, so its L_p(P_X) norm is 1/gamma
-    q = cert.q
+    q = type_q_params(model, np.zeros(model.dim), tv).q
     r = q if math.isinf(p) else p * q / (p + 1.0)
     return {"tau": tv, "p": p, "q": q, "r": r, "theta": theta_exponent(p, q),
-            "gamma_inv_norm": 1.0 / cert.gamma}
+            "gamma_inv_norm": gamma_inv_norm(model, tv, p)}
 
 
 def _check(kind, model, tau, p, fs, *, tol) -> CalibrationReport:

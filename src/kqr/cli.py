@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import inspect
 import itertools
@@ -405,7 +406,10 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept: parse_args
+    returns a fresh namespace each time and changes no parser state."""
     parser = argparse.ArgumentParser(
         prog="kqr", description="kernel quantile regression checks and experiments"
     )
@@ -418,7 +422,11 @@ def main(argv=None) -> int:
         if strict_grid:
             p.add_argument("--strict-grid", action="store_true",
                            help="use the exact n^-2 net instead of the geometric grid")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

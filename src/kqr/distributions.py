@@ -21,6 +21,7 @@ Four families are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -338,8 +339,10 @@ def quantile_set(model: ConditionalModel, x, tau) -> QuantileInterval:
     return QuantileInterval(t1 + shift, t2 + shift)
 
 
+@lru_cache(maxsize=256)
 def _certificate(model: ConditionalModel, tau: float) -> TypeQParams:
-    """Certificate of the base law (shift-invariant, hence x-free)."""
+    """Certificate of the base law (shift-invariant, hence x-free), built
+    once per (model, tau); a CertificateError is raised, not kept."""
     law = model.noise
     w = model.halfwidth
     t1, t2 = law.quantile_interval(tau)

@@ -11,11 +11,18 @@ at its endpoints,
 for u >= 0 (the integral form follows from Fubini applied to the running
 mass of the open interval).  This module computes the closed form directly;
 ``inner_risk(t) - c_star`` is kept as an independent route for testing.
+
+A law's frame at each tau (its quantile interval, the level slack at both
+ends and the cut targets of the quadrature) is computed once and kept in a
+bounded memo, as is the law's quantile-type certificate in distributions.
+Laws hash by identity and frames are frozen, so every caller at the same
+(law, tau) shares one frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -46,7 +53,11 @@ class InnerRiskProfile:
 
 @dataclass(frozen=True)
 class _NoiseFrame:
-    """Quantile data of a base law at a fixed level (location removed)."""
+    """Quantile data of a base law at a fixed level (location removed).
+
+    targets, derived from the rest, holds the law's breakpoints and the
+    quantile ends, sorted and read-only: the values of f(x) - g(x) where
+    the quadrature cuts a cell."""
 
     law: NoiseLaw
     tau: float
@@ -54,9 +65,17 @@ class _NoiseFrame:
     t2: float
     q_plus: float
     q_minus: float
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        targets = np.union1d(self.law.breakpoints, (self.t1, self.t2))
+        targets.flags.writeable = False
+        object.__setattr__(self, "targets", targets)
 
 
+@lru_cache(maxsize=256)
 def noise_frame(law: NoiseLaw, tau: float) -> _NoiseFrame:
+    """The frame of law at level tau, built once per (law, tau)."""
     t1, t2 = law.quantile_interval(tau)
     q_plus = max(law.cdf(t2) - tau, 0.0)
     q_minus = max(tau - law.cdf(t1, strict=True), 0.0)

@@ -12,7 +12,10 @@ first use and keeps them, so every quantile query only scans the stored
 levels.  ``cdf`` evaluates the zeroth moment of each piece alone, a piece
 takes sign(u) and |u| once per interval end for all its moments, and
 ``interval_moments`` computes the moments up to the order its caller
-reads, so m2 is paid for only by the variance integrand.
+reads, so m2 is paid for only by the variance integrand.  The same holds
+per level: a law's frame at each tau (inner_risk.noise_frame) and its
+quantile-type certificate (distributions.type_q_params) are computed once
+and kept in bounded memos keyed on the law, which hashes by identity.
 """
 
 from __future__ import annotations

@@ -19,3 +19,23 @@ def test_every_workload_sets_up_and_every_hook_installs(tmp_path, monkeypatch):
             workload.setup()
             workload.capture(patches)
         spans.install(spans.Tracer(), patches)
+
+
+def test_traced_calibration_round_sees_every_call_through_the_memos(tmp_path, monkeypatch):
+    """The tracer wraps the memoized inner_risk.noise_frame from outside, so
+    it still counts every call of a round, cache hits included, and a traced
+    round gives the outputs of an untraced one."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+    import spans
+    import workloads
+
+    workload = workloads.Calibration(1, tmp_path)
+    workload.setup()
+    checks = 2 * len(workload.cases)
+    plain, _ = run._round(workload)
+    tracer = spans.Tracer()
+    traced, _ = run._round(workload, tracer)
+    assert workload.same(plain, traced)
+    assert tracer.calls["inner_risk.noise_frame"] == checks == 72
+    assert tracer.calls["distributions.gamma_inv_norm"] == checks

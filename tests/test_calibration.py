@@ -343,3 +343,95 @@ def test_evaluate_matches_the_integrands_it_replaced():
                 assert set(got) == set(kinds)
                 for kind in kinds:
                     assert np.array_equal(got[kind], want[kind]), (kind, tau)
+
+
+# ---------------------------------------------------------------------------
+# the per-(law, tau) memos: frames and certificates are built once
+# ---------------------------------------------------------------------------
+
+
+def _clear_memos():
+    from kqr.distributions import _certificate
+    from kqr.inner_risk import noise_frame
+
+    noise_frame.cache_clear()
+    _certificate.cache_clear()
+
+
+def test_memoized_checks_match_cold_checks_bit_for_bit(all_families):
+    """Every lhs, rhs and param of a family x tau x p sweep is the same with
+    both memos cleared before each check as with both warm."""
+    fs = random_test_functions(6, 4, seed=17) + [lambda x: 0.7 * np.sin(2.0 * x[:, 0])]
+    cases = [(model, tau, p, check) for model in all_families for tau in (0.1, 0.5, 0.9)
+             for p in (1.0, 4.0, math.inf) for check in (check_self_calibration,
+                                                        check_variance_bound)]
+    cold = []
+    for model, tau, p, check in cases:
+        _clear_memos()
+        cold.append(check(model, tau, p, fs))
+    for _ in range(2):  # the second pass reads every entry warm
+        warm = [check(model, tau, p, fs) for model, tau, p, check in cases]
+    for a, b in zip(cold, warm):
+        assert np.array_equal(a.lhs, b.lhs) and np.array_equal(a.rhs, b.rhs)
+        assert a.params == b.params
+
+
+def test_memos_key_on_the_exact_tau_and_the_law_object():
+    from kqr.distributions import _certificate, bounded_density_mixture
+    from kqr.inner_risk import noise_frame
+
+    def fresh_frame(law, tau):
+        return noise_frame.__wrapped__(law, tau)
+
+    def same_frame(a, b):
+        # eq leaves out the targets, which derive from the other fields
+        return a == b and np.array_equal(a.targets, b.targets)
+
+    model = bounded_density_mixture()
+    law = model.noise
+    tau, next_tau = 0.5, float(np.nextafter(0.5, 1.0))
+    _clear_memos()
+    frames = [noise_frame(law, tau), noise_frame(law, next_tau)]
+    certs = [_certificate(model, tau), _certificate(model, next_tau)]
+    assert noise_frame.cache_info().currsize == 2 and _certificate.cache_info().currsize == 2
+    assert frames[0].t1 != frames[1].t1
+    for t, frame, cert in zip((tau, next_tau), frames, certs):
+        assert same_frame(frame, fresh_frame(law, t))
+        assert noise_frame(law, t) is frame
+        assert cert == _certificate.__wrapped__(model, t)
+        assert _certificate(model, t) is cert
+    # a second law with identical pieces is a second entry with equal values
+    twin = bounded_density_mixture()
+    twin_frame = noise_frame(twin.noise, tau)
+    assert twin_frame is not frames[0] and twin_frame.law is twin.noise
+    assert same_frame(twin_frame, fresh_frame(twin.noise, tau))
+    assert (twin_frame.t1, twin_frame.t2, twin_frame.q_plus, twin_frame.q_minus) == (
+        frames[0].t1, frames[0].t2, frames[0].q_plus, frames[0].q_minus)
+    assert _certificate(twin, tau) == certs[0]
+    assert noise_frame.cache_info().currsize == 3 and _certificate.cache_info().currsize == 3
+
+
+def test_missing_certificate_raises_on_every_call():
+    from kqr.distributions import _certificate, dirac_atom_mixture, type_q_params
+
+    model = dirac_atom_mixture()  # certified only for tau in (0.075, 0.925)
+    fs = random_test_functions(4, 2, seed=3)
+    _clear_memos()
+    for _ in range(3):
+        with pytest.raises(CertificateError):
+            type_q_params(model, 0.0, 0.05)
+        with pytest.raises(CertificateError):
+            check_self_calibration(model, 0.05, 2.0, fs)
+    assert _certificate.cache_info().currsize == 0
+
+
+def test_memos_are_bounded_and_frames_read_only():
+    from kqr.distributions import _certificate
+    from kqr.inner_risk import noise_frame
+
+    assert noise_frame.cache_info().maxsize is not None
+    assert _certificate.cache_info().maxsize is not None
+    frame = noise_frame(uniform_noise().noise, 0.3)
+    assert not frame.targets.flags.writeable
+    with pytest.raises(ValueError):
+        frame.targets[0] = 0.0

@@ -215,6 +215,32 @@ def test_tv_svm_strict_grid_flag(tmp_path):
     assert summary["grid_size"] == 100
 
 
+def test_back_to_back_commands_see_only_their_own_arguments(tmp_path, capsys):
+    """main keeps one parser for the process: each call parses afresh, so a
+    flag of one command neither leaks into the next nor becomes valid there."""
+    cfg = write_config(tmp_path, TRAIN_CFG.replace("n = 40", "n = 10"))
+    strict, plain = tmp_path / "strict", tmp_path / "plain"
+    assert main(["tv-svm", "--config", cfg, "--out", str(strict), "--strict-grid",
+                 "--seed", "9"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["train", "--config", cfg, "--out", str(tmp_path / "t"), "--strict-grid"])
+    assert exc.value.code == 2
+    assert "--strict-grid" in capsys.readouterr().err
+    assert main(["tv-svm", "--config", cfg, "--out", str(plain)]) == 0
+    assert json.loads((strict / "summary.json").read_text())["grid_mode"] == "strict"
+    assert json.loads((plain / "summary.json").read_text())["grid_mode"] == "geometric"
+    assert json.loads((strict / "manifest.json").read_text())["seed"] == 9
+    assert json.loads((plain / "manifest.json").read_text())["seed"] == 5
+    capsys.readouterr()
+    helps = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["rates", "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and "--strict-grid" in helps[0]
+
+
 def test_rates_command(tmp_path):
     cfg = write_config(tmp_path, RATES_CFG)
     out = tmp_path / "r"
