@@ -201,8 +201,8 @@ def excess_risk(model: ConditionalModel, tau, f) -> float:
 
 def dist_norm(model: ConditionalModel, tau, f, r: float) -> float:
     """L_r(P_X) norm of x -> dist(f(x), quantile set at x)."""
-    if r <= 0:
-        raise ValueError("r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError(f"r must be positive and finite, got {r}")
     return float(_evaluate(model, tau, [f], ("dist",), r=r)["dist"][0])
 
 

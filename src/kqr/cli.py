@@ -5,7 +5,8 @@ plot-ready artifacts: report.csv, summary.json and manifest.json in the
 output directory (plus model.json for the solver commands).
 
 Exit codes: 0 on success/pass, 1 when an inequality check fails, 2 on
-usage or configuration errors.
+usage or configuration errors and when the output directory cannot be
+made or written.
 
 All randomness derives from the single config seed through labeled
 SeedSequences (see util.derive_seed_sequence), so identical config plus
@@ -427,7 +428,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-
+    out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        print(f"output error: --out {args.out} exists and is not a directory", file=sys.stderr)
+        return 2
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg["run"].getint("seed", 0)
@@ -438,13 +442,16 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.csv").write_text(outcome.report)
-    if outcome.model is not None:
-        (out_dir / "model.json").write_text(model_to_json(outcome.model))
-    (out_dir / "summary.json").write_text(json.dumps(outcome.summary, indent=2))
-    (out_dir / "manifest.json").write_text(_manifest(args.command, args.config, seed))
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        (out_dir / "report.csv").write_text(outcome.report)
+        if outcome.model is not None:
+            (out_dir / "model.json").write_text(model_to_json(outcome.model))
+        (out_dir / "summary.json").write_text(json.dumps(outcome.summary, indent=2))
+        (out_dir / "manifest.json").write_text(_manifest(args.command, args.config, seed))
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
     print(outcome.message)
     return 0 if outcome.passed else 1
 

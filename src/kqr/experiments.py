@@ -198,6 +198,10 @@ class RateConfig:
     max_iter: int = 300
 
     def __post_init__(self, p, q):
+        if not self.sample_sizes:
+            raise ValueError("sample_sizes needs at least one size")
+        if len(set(self.sample_sizes)) != len(self.sample_sizes):
+            raise ValueError(f"sample sizes must be distinct, got {self.sample_sizes}")
         if any(n < 4 for n in self.sample_sizes):
             raise ValueError("sample sizes must be >= 4")
         if self.repetitions < 1:

@@ -170,6 +170,8 @@ def gram(spec, xs) -> np.ndarray:
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
     if xs.shape[0] == 0:
         raise ValueError("need at least one point")
+    if xs.shape[1] == 0:
+        raise ValueError("points need at least one coordinate")
     g = spec.pairwise(xs, xs)
     g = g + g.T  # kill roundoff asymmetry
     g *= 0.5

@@ -9,10 +9,12 @@ generic numeric quadrature is involved on the y-axis.
 Each quantity is evaluated once.  A law computes its support, breakpoints,
 total mean and the CDF levels P(Y <= z) and P(Y < z) at its breakpoints on
 first use and keeps them, so every quantile query only scans the stored
-levels.  ``cdf`` evaluates the zeroth moment of each piece alone, a piece
-takes sign(u) and |u| once per interval end for all its moments, and
-``interval_moments`` computes the moments up to the order its caller
-reads, so m2 is paid for only by the variance integrand.  The same holds
+levels.  One routine, ``PowerPiece.moments``, evaluates every moment of a
+piece: it takes sign(u) and |u| once per interval end and computes the
+moments up to the order its caller reads, so ``cdf``, a piece's mass and
+the quantile inversion ask for m0 alone and m2 is paid for only by the
+variance integrand.  ``pinball`` takes P(Y < t) and the
+first moment below t from one ``interval_moments`` call.  The same holds
 per level: a law's frame at each tau (inner_risk.noise_frame) and its
 quantile-type certificate (distributions.type_q_params) are computed once
 and kept in bounded memos keyed on the law, which hashes by identity.
@@ -83,20 +85,17 @@ class PowerPiece:
         ua, ub = a - self.anchor, b - self.anchor
         return np.sign(ua), np.abs(ua), np.sign(ub), np.abs(ub)
 
-    def mass_between(self, a, b):
-        """m0 of the density over [a, b] clipped to the piece: the zeroth
-        moment alone, the same expression as in `moments`."""
-        sa, ra, sb, rb = self._ends(a, b)
-        return self.scale * (self._j0(sb, rb) - self._j0(sa, ra))
-
     def moments(self, a, b, order: int = 2):
         """(m0, ..., m_order) of the density over [a, b] clipped to the
-        piece, order 1 or 2: a caller asks for the highest moment it reads."""
+        piece, order 0, 1 or 2: a caller asks for the highest moment it
+        reads."""
         sa, ra, sb, rb = self._ends(a, b)
         d0 = self._j0(sb, rb) - self._j0(sa, ra)
+        m0 = self.scale * d0
+        if order < 1:
+            return (m0,)
         d1 = self._j1(rb) - self._j1(ra)
         c = self.anchor
-        m0 = self.scale * d0
         m1 = self.scale * (d1 + c * d0)
         if order < 2:
             return m0, m1
@@ -106,7 +105,7 @@ class PowerPiece:
 
     @property
     def mass(self) -> float:
-        return float(self.mass_between(self.lo, self.hi))
+        return float(self.moments(self.lo, self.hi, 0)[0])
 
     def ppf_from_lo(self, m):
         """y with piece-mass m accumulated from lo; m may be an array."""
@@ -170,18 +169,9 @@ class NoiseLaw:
         return f, fl
 
     @cached_property
-    def _atom_locs(self) -> np.ndarray:
-        return np.array([a.location for a in self.atoms])
-
-    @cached_property
-    def _atom_masses(self) -> np.ndarray:
-        return np.array([a.mass for a in self.atoms])
-
-    @cached_property
     def total_mean(self) -> float:
         m1 = sum(float(p.moments(p.lo, p.hi, 1)[1]) for p in self.pieces)
-        m1 += float(np.sum(self._atom_locs * self._atom_masses)) if self.atoms else 0.0
-        return m1
+        return m1 + float(np.sum([a.location * a.mass for a in self.atoms]))
 
     # -- pointwise queries ----------------------------------------------------
 
@@ -201,7 +191,7 @@ class NoiseLaw:
         y = np.asarray(y, dtype=float)
         out = np.zeros(y.shape)
         for p in self.pieces:
-            out = out + p.mass_between(p.lo, y)
+            out = out + p.moments(p.lo, y, 0)[0]
         for a in self.atoms:
             hit = (y > a.location) if strict else (y >= a.location)
             out = out + np.where(hit, a.mass, 0.0)
@@ -237,9 +227,10 @@ class NoiseLaw:
         t = np.asarray(t, dtype=float)
         below_edge = self.support[0] - 1.0
         # mass and first moment strictly below t; the open interval from
-        # under the support captures them without cancellation
-        m0b = self.cdf(t, strict=True)
-        _, m1b = self.interval_moments(np.full(t.shape, below_edge), t, 1)
+        # under the support captures them without cancellation; m0b is
+        # clipped to [0, 1] as cdf clips it
+        m0b, m1b = self.interval_moments(np.full(t.shape, below_edge), t, 1)
+        m0b = np.clip(m0b, 0.0, 1.0)
         at_mass = self.atom_mass_at(t)  # contributes zero loss either way
         m0a = 1.0 - m0b - at_mass
         m1a = self.total_mean - m1b - at_mass * t
@@ -279,7 +270,7 @@ class NoiseLaw:
                 piece = self._piece_covering(z[k - 1], z[k])
                 if piece is None:
                     return float(z[k - 1])
-                base = piece.mass_between(piece.lo, z[k - 1])
+                base = piece.moments(piece.lo, z[k - 1], 0)[0]
                 return float(piece.ppf_from_lo(base + need))
         return float(z[-1])
 

@@ -71,6 +71,17 @@ def test_dist_norm_examples(unit_uniform, pure_two_atom):
     assert dist_norm(m, 0.5, f_star, 2.0) <= 1e-10
 
 
+def test_dist_norm_rejects_nan_and_infinite_r():
+    """An L_r norm needs a finite positive r: r = nan would return nan, and
+    r = inf would read 1 for every f instead of the sup distance (0.5 for
+    the zero predictor on uniform noise at tau 0.5)."""
+    model = uniform_noise()
+    assert dist_norm(model, 0.5, const_fn(0.0), 50.0) == pytest.approx(0.479, abs=1e-3)
+    for r in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="r must be positive and finite"):
+            dist_norm(model, 0.5, const_fn(0.0), r)
+
+
 def test_variance_term_against_quadrature(unit_uniform):
     for c in (0.3, -0.6, 0.9):
         want = quad(lambda y: (abs(y - c) - abs(y)) ** 2 / 4.0 * 0.5, -1, 1,

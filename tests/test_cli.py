@@ -718,3 +718,51 @@ def test_nan_lengthscale_exits_2_before_cholesky(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, MATERN_TRAIN_CFG.replace("lengthscale = 0.5",
                                                           "lengthscale = nan"))
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_bad_rates_sample_sizes_exit_2_before_any_fit(tmp_path, monkeypatch, capsys):
+    from kqr import experiments
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fit ran before the sample sizes were validated")
+
+    monkeypatch.setattr(experiments, "train", refuse)
+    cases = [("sample_sizes =", "at least one size"), ("sample_sizes = 32 32 32", "distinct")]
+    for i, (line, named) in enumerate(cases):
+        cfg = write_config(tmp_path, RATES_CFG.replace("sample_sizes = 32", line), f"case{i}.ini")
+        out = tmp_path / f"o{i}"
+        assert main(["rates", "--config", cfg, "--out", str(out)]) == 2, line
+        assert named in capsys.readouterr().err, line
+        assert not out.exists()
+
+
+def test_spectrum_of_points_without_coordinates_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, SPECTRUM_CFG + "dim = 0\n")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+    assert "coordinate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_that_is_a_file_exits_2_before_the_command_runs(tmp_path, monkeypatch, capsys):
+    from kqr import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran with an unusable --out")
+
+    monkeypatch.setattr(cli, "train", refuse)
+    cfg = write_config(tmp_path, TRAIN_CFG)
+    out = tmp_path / "taken"
+    out.write_text("keep me")
+    assert main(["train", "--config", cfg, "--out", str(out)]) == 2
+    assert "not a directory" in capsys.readouterr().err
+    assert out.read_text() == "keep me"
+
+
+def test_unwritable_out_exits_2_with_a_message(tmp_path, capsys):
+    cfg = write_config(tmp_path, SPECTRUM_CFG)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["spectrum", "--config", cfg, "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error:") and "Traceback" not in err

@@ -192,6 +192,17 @@ def test_rate_config_validation():
         small_config(beta=1.5)
 
 
+def test_rate_config_rejects_empty_or_repeated_sizes():
+    """No size gives no rows, and a repeated size refits the same seeded
+    sample; a single size stays legal."""
+    with pytest.raises(ValueError, match="at least one size"):
+        small_config(sample_sizes=())
+    for sizes in [(32, 32, 32), (32, 64, 32)]:
+        with pytest.raises(ValueError, match="distinct"):
+            small_config(sample_sizes=sizes)
+    assert small_config(sample_sizes=(32,)).sample_sizes == (32,)
+
+
 def test_rate_exponents_come_from_the_certificate():
     """p and q are accepted only at the certificate's values and drive
     nothing; a tau without a certificate fails before any fit."""

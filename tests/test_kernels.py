@@ -50,6 +50,12 @@ def test_gram_examples():
     assert m3[0, 1] == pytest.approx(math.exp(-1.0))
 
 
+def test_gram_rejects_points_without_coordinates():
+    for spec in ALL_SPECS:
+        with pytest.raises(ValueError, match="coordinate"):
+            gram(spec, np.zeros((30, 0)))
+
+
 def test_gram_symmetric_psd():
     rng = np.random.default_rng(1)
     for spec in ALL_SPECS:

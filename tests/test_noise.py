@@ -305,7 +305,8 @@ def test_piece_moments_match_reference():
             for lo, hi in ends:
                 for got, want in zip(p.moments(lo, hi), reference_moments(p, lo, hi)):
                     assert np.array_equal(got, want)
-                assert np.array_equal(p.mass_between(lo, hi), reference_moments(p, lo, hi)[0])
+                m0, = p.moments(lo, hi, 0)
+                assert np.array_equal(m0, reference_moments(p, lo, hi)[0])
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -423,3 +424,85 @@ def test_interval_moments_to_order_one_are_the_first_two_of_order_two():
             for p in law.pieces:
                 assert all(np.array_equal(x, y) for x, y in
                            zip(p.moments(lo, hi, 1), reference_moments(p, lo, hi)[:2]))
+
+
+def reference_pinball(law, tau, t):
+    """pinball as first written: P(Y < t) from cdf(t, strict=True) and the
+    first moment below t from a second pass over the pieces and atoms."""
+    t = np.asarray(t, dtype=float)
+    below_edge = law.support[0] - 1.0
+    m0b = law.cdf(t, strict=True)
+    _, m1b = law.interval_moments(np.full(t.shape, below_edge), t, 1)
+    at_mass = law.atom_mass_at(t)
+    m0a = 1.0 - m0b - at_mass
+    m1a = law.total_mean - m1b - at_mass * t
+    c = np.maximum((1.0 - tau) * (t * m0b - m1b) + tau * (m1a - t * m0a), 0.0)
+    return float(c) if c.ndim == 0 else c
+
+
+def _pinball_points(law):
+    """Both support ends, every breakpoint (atoms included) and its float
+    neighbours, points outside the support and a grid across it."""
+    lo, hi = law.support
+    z = law.breakpoints
+    return np.concatenate([[lo, hi, lo - 0.3, hi + 0.3, -5.0, 5.0], z,
+                           np.nextafter(z, -np.inf), np.nextafter(z, np.inf),
+                           np.linspace(lo - 0.1, hi + 0.1, 61)])
+
+
+def test_pinball_matches_reference():
+    """One interval_moments pass gives the two-pass pinball bit for bit on
+    the families' laws, on arrays, 2-d grids and scalars.
+
+    On random laws it may differ by a few ulps: the two-pass P(Y < t) comes
+    from cdf, which takes a piece's lower end through numpy's scalar power
+    and the points t through its array power, and on some machines (AVX-512
+    builds) the two round differently; the one pass takes both ends through
+    the array power."""
+    rng = np.random.default_rng(18)
+    cases = [(law, True) for law in reference_laws()]
+    cases += [(random_law(rng), False) for _ in range(120)]
+    for law, exact in cases:
+        ts = _pinball_points(law)
+        scalars = [float(t) for t in ts[:6 + len(law.breakpoints)]]
+        for tau in (0.05, 0.3, 0.5, 0.77, 0.95):
+            for t in [ts, np.vstack([ts, ts[::-1]]), *scalars]:
+                got, want = law.pinball(tau, t), reference_pinball(law, tau, t)
+                assert type(got) is type(want)
+                if exact:
+                    assert np.array_equal(got, want)
+                else:
+                    assert np.all(np.abs(got - want) <= 4e-16 * (1.0 + np.abs(t)))
+
+
+def test_pinball_below_the_support_is_exact():
+    """Below the support P(Y < t) = 0 and the first moment below t is 0, so
+    C(t) = tau * (E[Y] - t) exactly, on every random law."""
+    rng = np.random.default_rng(19)
+    for _ in range(200):
+        law = random_law(rng)
+        lo = law.support[0]
+        ts = np.array([np.nextafter(lo, -np.inf), lo - 0.3, lo - 1.0, -5.0])
+        for tau in (0.05, 0.5, 0.95):
+            assert np.array_equal(law.pinball(tau, ts), tau * (law.total_mean - ts))
+
+
+def test_pinball_takes_one_moment_pass(monkeypatch):
+    """A pinball call makes one interval_moments call and no cdf call."""
+    law = mixed_law()
+    calls = []
+    moments = NoiseLaw.interval_moments
+
+    def counted(self, *args, **kwargs):
+        calls.append("interval_moments")
+        return moments(self, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pinball evaluated the CDF")
+
+    monkeypatch.setattr(NoiseLaw, "interval_moments", counted)
+    monkeypatch.setattr(NoiseLaw, "cdf", refuse)
+    law.pinball(0.3, np.linspace(-0.6, 0.6, 9))
+    assert calls == ["interval_moments"]
+    law.pinball(0.3, 0.1)
+    assert calls == ["interval_moments"] * 2
