@@ -249,8 +249,8 @@ def exponents(model: ConditionalModel, tau, p) -> dict:
 
 def _check(kind, model, tau, p, fs, *, tol) -> CalibrationReport:
     """lhs, rhs = const * excess^exponent, and the params of one inequality."""
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
+    if not 0 <= tol < math.inf:  # an infinite tol would pass every row
+        raise ValueError("tol must be finite and >= 0")
     if len(fs) == 0:
         raise ValueError("need at least one test function")
     params = exponents(model, tau, p)

@@ -205,8 +205,8 @@ def _cmd_check_inner_risk(cfg, seed: int, strict_grid: bool) -> Outcome:
         raise ConfigError("[check] taus needs at least one value")
     if n_x < 1 or n_t < 1:
         raise ConfigError("[check] xs and t_points must be >= 1")
-    if not tol >= 0:
-        raise ConfigError("[check] tolerance must be >= 0")
+    if not 0 <= tol < math.inf:
+        raise ConfigError("[check] tolerance must be finite and >= 0")
     rng = derive_rng(seed, "inner-risk-xs")
     xs = rng.uniform(-1.0, 1.0, size=(n_x, model.dim))
     ts = np.linspace(-1.0, 1.0, n_t)
@@ -215,9 +215,8 @@ def _cmd_check_inner_risk(cfg, seed: int, strict_grid: bool) -> Outcome:
     closed, direct = [], []
     for tau in taus:
         frame = noise_frame(model.noise, tau_value(tau))
-        c_star = float(model.noise.pinball(frame.tau, frame.t1))
         closed.append(excess_in_frame(frame, t_noise))
-        direct.append(model.noise.pinball(frame.tau, t_noise) - c_star)
+        direct.append(model.noise.pinball(frame.tau, t_noise) - frame.c_star)
     # (xs, taus, ts): the order of the report's rows
     closed, direct = np.stack(closed, axis=1), np.stack(direct, axis=1)
     errs = np.abs(closed - direct)
@@ -429,8 +428,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        print(f"output error: --out {args.out} exists and is not a directory", file=sys.stderr)
+    # the nearest existing ancestor (or --out itself) must be a directory to
+    # hold the output, and is checked before the command runs
+    ancestor = next((p for p in (out_dir, *out_dir.parents) if p.exists()), out_dir)
+    if not ancestor.is_dir():
+        print(f"output error: --out {args.out}: {ancestor} exists and is not a directory",
+              file=sys.stderr)
         return 2
     try:
         cfg = load_config(args.config)

@@ -27,7 +27,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from .losses import Dataset, tau_value
-from .noise import Atom, NoiseLaw, PowerPiece
+from .noise import Atom, NoiseLaw, PowerPiece, noise_frame
 
 __all__ = [
     "QuantileInterval",
@@ -333,19 +333,19 @@ def conditional_cdf(model: ConditionalModel, x, y):
 
 
 def quantile_set(model: ConditionalModel, x, tau) -> QuantileInterval:
-    tv = tau_value(tau)
-    t1, t2 = model.noise.quantile_interval(tv)
+    frame = noise_frame(model.noise, tau_value(tau))
     shift = model.g_scalar(x)
-    return QuantileInterval(t1 + shift, t2 + shift)
+    return QuantileInterval(frame.t1 + shift, frame.t2 + shift)
 
 
 @lru_cache(maxsize=256)
 def _certificate(model: ConditionalModel, tau: float) -> TypeQParams:
-    """Certificate of the base law (shift-invariant, hence x-free), built
-    once per (model, tau); a CertificateError is raised, not kept."""
+    """Certificate of the base law (shift-invariant, hence x-free) from its
+    frame, built once per (model, tau); a CertificateError is raised, not kept."""
     law = model.noise
     w = model.halfwidth
-    t1, t2 = law.quantile_interval(tau)
+    frame = noise_frame(law, tau)
+    t1, t2 = frame.t1, frame.t2
 
     if model.family == "bounded-density-mixture":
         alpha = min(t1 + w, w - t2)
@@ -372,29 +372,18 @@ def _certificate(model: ConditionalModel, tau: float) -> TypeQParams:
             raise CertificateError("quantile touches the support edge")
         return TypeQParams(q=2.0, b=b, alpha=min(alpha, 2.0))
 
-    if model.family == "dirac-atom-mixture":
-        a = law.atoms[0].location
-        lo_level = law.cdf(a, strict=True)
-        hi_level = law.cdf(a)
-        if not lo_level < tau < hi_level:
-            raise CertificateError(
-                f"type certificate not applicable: tau={tau} outside "
-                f"({lo_level}, {hi_level})"
-            )
-        b = min(tau - lo_level, hi_level - tau)
-        return TypeQParams(q=1.0, b=b, alpha=2.0)
-
-    if model.family == "two-atom":
+    if model.family in ("dirac-atom-mixture", "two-atom"):
+        # type 1: atoms at both ends of a gap of the quantile set, or an
+        # atom at the quantile point with tau strictly inside its jump
         if t1 != t2:
             b = min(law.atom_mass_at(t1), law.atom_mass_at(t2))
-            if b <= 0.0:
-                raise CertificateError("quantile endpoints carry no atoms")
         else:
-            if law.atom_mass_at(t1) <= 0.0:
-                raise CertificateError("quantile point carries no atom")
-            b = min(tau - law.cdf(t1, strict=True), law.cdf(t1) - tau)
-            if b <= 0.0:
-                raise CertificateError("tau sits at the edge of the atom's jump")
+            b = min(frame.q_minus, frame.q_plus) if law.atom_mass_at(t1) > 0.0 else 0.0
+        if not b > 0.0:  # name the levels that have one: inside an atom's jump
+            f, f_left = law._levels
+            jumps = ", ".join(f"({f_left[k]}, {f[k]})" for k, z in enumerate(law.breakpoints)
+                              if law.atom_mass_at(z) > 0.0)
+            raise CertificateError(f"type certificate not applicable: tau={tau} outside {jumps}")
         return TypeQParams(q=1.0, b=b, alpha=2.0)
 
     raise CertificateError(f"unknown family {model.family!r}")

@@ -126,8 +126,8 @@ def tv_svm(
     per lambda to take the finished fit.  On a factored Gram each fit has
     the bits of a train call at that lambda alone; coordinate descent, past
     the rank cutoff, starts each lambda from the previous fit.  A fit
-    converged when its duality gap is at most tol.  A tol that is NaN or
-    negative, or max_iter < 1, raises ValueError before the Gram is built.
+    converged when its duality gap is at most tol.  A tol that is not finite
+    and nonnegative, or max_iter < 1, raises ValueError before the Gram is built.
     """
     n = len(data)
     if n < 3:
@@ -340,11 +340,12 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
             mean_excess[n] = float(np.mean([row.excess_risk for row in ok]))
             mean_dist[n] = float(np.mean([row.dist_norm for row in ok]))
 
+    # no slope from fewer than 3 sizes, nor through a mean of 0: a predictor
+    # inside the quantile set has no excess and no distance to it
     ns = sorted(mean_excess)
-    excess_slope = dist_slope = None
-    if len(ns) >= 3:
-        excess_slope = fit_loglog_slope(ns, [mean_excess[n] for n in ns])
-        dist_slope = fit_loglog_slope(ns, [mean_dist[n] for n in ns])
+    excess_slope, dist_slope = (
+        fit_loglog_slope(ns, values) if len(ns) >= 3 and min(values) > 0 else None
+        for values in ([mean_excess[n] for n in ns], [mean_dist[n] for n in ns]))
 
     gamma = theoretical_gamma(config.beta, exps["theta"], rho)
     return RateReport(

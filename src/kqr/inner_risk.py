@@ -12,23 +12,20 @@ for u >= 0 (the integral form follows from Fubini applied to the running
 mass of the open interval).  This module computes the closed form directly;
 ``inner_risk(t) - c_star`` is kept as an independent route for testing.
 
-A law's frame at each tau (its quantile interval, the level slack at both
-ends and the cut targets of the quadrature) is computed once and kept in a
-bounded memo, as is the law's quantile-type certificate in distributions.
-Laws hash by identity and frames are frozen, so every caller at the same
-(law, tau) shares one frame.
+The closed form reads the law's frame at tau (noise.noise_frame): the
+quantile interval, the level slack at both ends and C*, built once per
+(law, tau) and shared by every caller at that level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import ConditionalModel, QuantileInterval, TypeQParams
 from .losses import tau_value
-from .noise import NoiseLaw
+from .noise import _NoiseFrame, noise_frame
 
 __all__ = [
     "InnerRiskProfile",
@@ -49,37 +46,6 @@ class InnerRiskProfile:
     q_minus: float
     quantile: QuantileInterval
     c_star: float
-
-
-@dataclass(frozen=True)
-class _NoiseFrame:
-    """Quantile data of a base law at a fixed level (location removed).
-
-    targets, derived from the rest, holds the law's breakpoints and the
-    quantile ends, sorted and read-only: the values of f(x) - g(x) where
-    the quadrature cuts a cell."""
-
-    law: NoiseLaw
-    tau: float
-    t1: float
-    t2: float
-    q_plus: float
-    q_minus: float
-    targets: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        targets = np.union1d(self.law.breakpoints, (self.t1, self.t2))
-        targets.flags.writeable = False
-        object.__setattr__(self, "targets", targets)
-
-
-@lru_cache(maxsize=256)
-def noise_frame(law: NoiseLaw, tau: float) -> _NoiseFrame:
-    """The frame of law at level tau, built once per (law, tau)."""
-    t1, t2 = law.quantile_interval(tau)
-    q_plus = max(law.cdf(t2) - tau, 0.0)
-    q_minus = max(tau - law.cdf(t1, strict=True), 0.0)
-    return _NoiseFrame(law, tau, t1, t2, q_plus, q_minus)
 
 
 def excess_in_frame(frame: _NoiseFrame, t):
@@ -122,15 +88,13 @@ def inner_risk(model: ConditionalModel, x, tau, t):
 
 
 def min_inner_risk(model: ConditionalModel, x, tau) -> InnerRiskProfile:
-    tv = tau_value(tau)
-    frame = noise_frame(model.noise, tv)
+    frame = noise_frame(model.noise, tau_value(tau))
     shift = model.g_scalar(x)
-    c_star = float(model.noise.pinball(tv, frame.t1))
     return InnerRiskProfile(
         q_plus=frame.q_plus,
         q_minus=frame.q_minus,
         quantile=QuantileInterval(frame.t1 + shift, frame.t2 + shift),
-        c_star=c_star,
+        c_star=frame.c_star,
     )
 
 

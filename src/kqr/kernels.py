@@ -78,8 +78,9 @@ class PolynomialKernel:
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
         ys = np.atleast_2d(np.asarray(ys, dtype=float))
         # the normalization by offset + dim keeps k <= 1 only on [-1, 1]^dim
-        if xs.shape[1] != self.dim or ys.shape[1] != self.dim:
-            raise ValueError(f"polynomial kernel of dim {self.dim} needs points of dim {self.dim}")
+        dim = xs.shape[1] if xs.shape[1] != self.dim else ys.shape[1]
+        if dim != self.dim:
+            raise ValueError(f"polynomial kernel of dim {self.dim} got points of dim {dim}")
         base = (self.offset + xs @ ys.T) / (self.offset + self.dim)
         return base**self.degree
 
@@ -191,6 +192,8 @@ class DecayEstimate:
 
 def fit_power_law(eigenvalues, *, floor: float = 1e-10) -> DecayEstimate:
     """Least-squares fit of log lambda_i vs log i over the (5 or more) eigenvalues above floor."""
+    if not 0 <= floor < math.inf:
+        raise ValueError(f"floor must be finite and >= 0, got {floor}")
     lam = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     usable = lam[lam > floor]
     if len(usable) < 5:

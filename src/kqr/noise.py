@@ -15,15 +15,16 @@ moments up to the order its caller reads, so ``cdf``, a piece's mass and
 the quantile inversion ask for m0 alone and m2 is paid for only by the
 variance integrand.  ``pinball`` takes P(Y < t) and the
 first moment below t from one ``interval_moments`` call.  The same holds
-per level: a law's frame at each tau (inner_risk.noise_frame) and its
-quantile-type certificate (distributions.type_q_params) are computed once
-and kept in bounded memos keyed on the law, which hashes by identity.
+per level: a law's frame at tau (``noise_frame``), its quantile set, level
+slacks and C*, is built once per (law, tau) in a bounded memo keyed on the
+law, which hashes by identity, and the excess, the quantile set, C* and the
+certificate (distributions.type_q_params, memoized alike) all read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -315,3 +316,36 @@ class NoiseLaw:
             else:
                 out[sel] = comp.ppf_from_lo(np.clip(local, 0.0, masses[j]))
         return out
+
+
+@dataclass(frozen=True)
+class _NoiseFrame:
+    """Quantile set [t1, t2] of a law at level tau, the level slacks q_plus =
+    F(t2) - tau and q_minus = tau - F(t1-), and c_star = C(t1).
+
+    targets, derived from the rest, holds the law's breakpoints and the
+    quantile ends, sorted and read-only: the values of f(x) - g(x) where
+    the quadrature cuts a cell."""
+
+    law: NoiseLaw
+    tau: float
+    t1: float
+    t2: float
+    q_plus: float
+    q_minus: float
+    c_star: float
+    targets: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        targets = np.union1d(self.law.breakpoints, (self.t1, self.t2))
+        targets.flags.writeable = False
+        object.__setattr__(self, "targets", targets)
+
+
+@lru_cache(maxsize=256)
+def noise_frame(law: NoiseLaw, tau: float) -> _NoiseFrame:
+    """The frame of law at level tau, built once per (law, tau)."""
+    t1, t2 = law.quantile_interval(tau)
+    q_plus = max(law.cdf(t2) - tau, 0.0)
+    q_minus = max(tau - law.cdf(t1, strict=True), 0.0)
+    return _NoiseFrame(law, tau, t1, t2, q_plus, q_minus, law.pinball(tau, t1))

@@ -193,9 +193,10 @@ def objective(model: SvmModel, data: Dataset) -> float:
 
 
 def _check_stopping(tol, max_iter) -> None:
-    """Reject a stopping rule that leaves every fit uncertified."""
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
+    """Reject a stopping rule that leaves every fit uncertified, or that
+    certifies any fit: an infinite tol passes every duality gap."""
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be finite and >= 0")
     if not max_iter >= 1:
         raise ValueError("max_iter must be >= 1")
 
@@ -645,8 +646,8 @@ def train(
     block of one.  Either way the result is box feasible and converged
     means a duality gap of at most tol, in objective units; otherwise the
     last iterate comes back with converged=False.  A lambda that is not
-    finite and positive, a tol that is NaN or negative, or max_iter < 1
-    raises ValueError before any work.
+    finite and positive, a tol that is not finite and nonnegative, or
+    max_iter < 1 raises ValueError before any work.
     """
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be finite and positive")

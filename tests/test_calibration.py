@@ -181,6 +181,16 @@ def test_exponents_are_the_checks_params(all_families):
             exponents(all_families[0], 0.5, bad)
 
 
+def test_checks_reject_an_infinite_tolerance():
+    """slack >= -inf holds on every row, so an infinite tol would pass any
+    check; it is refused as NaN and -1 are."""
+    fs = random_test_functions(4, 2, seed=3)
+    for check in (check_self_calibration, check_variance_bound):
+        for tol in (math.inf, math.nan, -1.0):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                check(uniform_noise(), 0.5, 2.0, fs, tol=tol)
+
+
 @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("p", [1.0, 4.0, math.inf])
 def test_small_calibration_sweep(tau, p, all_families):

@@ -766,3 +766,48 @@ def test_unwritable_out_exits_2_with_a_message(tmp_path, capsys):
     assert main(["spectrum", "--config", cfg, "--out", str(blocker / "sub")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("output error:") and "Traceback" not in err
+
+
+def test_out_under_a_file_exits_2_before_the_command_runs(tmp_path, monkeypatch, capsys):
+    from kqr import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command ran with an unusable --out")
+
+    monkeypatch.setitem(cli.COMMANDS, "spectrum", (refuse, False))
+    cfg = write_config(tmp_path, SPECTRUM_CFG)
+    blocker = tmp_path / "file"
+    blocker.write_text("keep me")
+    for out in (blocker / "sub", blocker / "sub" / "deeper"):
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and f"{blocker} exists and is not a directory" in err
+    assert blocker.read_text() == "keep me"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("train", TRAIN_CFG.replace("tol = 1e-6", "tol = inf")),
+    ("check-calibration", CHECK_CFG.replace("tolerance = 1e-8", "tolerance = inf")),
+    ("check-inner-risk", CHECK_CFG.replace("tolerance = 1e-8", "tolerance = inf")),
+], ids=["train", "check-calibration", "check-inner-risk"])
+def test_an_infinite_tolerance_exits_2(tmp_path, capsys, command, text):
+    """An infinite tolerance would pass every check and certify every fit."""
+    out = tmp_path / "o"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_rates_through_a_zero_mean_gives_null_slopes(tmp_path, capsys):
+    """At seed 1 the n = 128 predictor lies inside two-atom's quantile gap,
+    so its excess and distance are 0: no log-log slope runs through them,
+    the zeros stay in the means and the run exits 0."""
+    cfg = write_config(tmp_path, "[model]\nfamily = two-atom\n\n[rates]\ntau = 0.5\n"
+                                 "sample_sizes = 32 64 128\nrepetitions = 1\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out), "--seed", "1"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["excess_slope"] is None and summary["dist_slope"] is None
+    assert summary["mean_excess"]["128"] == 0.0 and summary["mean_dist"]["128"] == 0.0
+    assert summary["mean_excess"]["64"] > 0.0
+    assert "excess slope None, dist slope None" in capsys.readouterr().out

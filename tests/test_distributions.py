@@ -288,3 +288,146 @@ def test_model_config_roundtrip():
         assert back.location == m.location
         for tau in (0.2, 0.8):
             assert back.noise.quantile_interval(tau) == m.noise.quantile_interval(tau)
+
+
+# ---------------------------------------------------------------------------
+# the frame: certificate, quantile set and C* read one (law, tau) frame
+# ---------------------------------------------------------------------------
+
+
+def reference_certificate(model, tau):
+    """_certificate as first written: its own quantile_interval scan and cdf
+    calls, and one type-1 branch for each of the two atom families."""
+    law = model.noise
+    w = model.halfwidth
+    t1, t2 = law.quantile_interval(tau)
+
+    if model.family == "bounded-density-mixture":
+        alpha = min(t1 + w, w - t2)
+        if alpha <= 0.0:
+            raise CertificateError("quantile touches the support edge")
+        return TypeQParams(q=2.0, b=law.pieces[0].scale, alpha=min(alpha, 2.0))
+
+    if model.family == "polynomial-density":
+        p, s = law.pieces[0].exponent, law.pieces[0].scale
+        t_star = 0.5 * (t1 + t2)
+        if abs(t_star) <= 1e-12:
+            alpha = min(t1 + w, w - t2)
+            return TypeQParams(q=2.0 + p, b=s / (1.0 + p), alpha=min(alpha, 2.0))
+        d = abs(t_star)
+        if p >= 0.0:
+            alpha = min(0.5 * d, w - abs(t_star))
+            b = s * (0.5 * d) ** p
+        else:
+            alpha = min(t1 + w, w - t2)
+            b = s * w**p
+        if alpha <= 0.0:
+            raise CertificateError("quantile touches the support edge")
+        return TypeQParams(q=2.0, b=b, alpha=min(alpha, 2.0))
+
+    if model.family == "dirac-atom-mixture":
+        a = law.atoms[0].location
+        lo_level = law.cdf(a, strict=True)
+        hi_level = law.cdf(a)
+        if not lo_level < tau < hi_level:
+            raise CertificateError(
+                f"type certificate not applicable: tau={tau} outside "
+                f"({lo_level}, {hi_level})"
+            )
+        b = min(tau - lo_level, hi_level - tau)
+        return TypeQParams(q=1.0, b=b, alpha=2.0)
+
+    if model.family == "two-atom":
+        if t1 != t2:
+            b = min(law.atom_mass_at(t1), law.atom_mass_at(t2))
+            if b <= 0.0:
+                raise CertificateError("quantile endpoints carry no atoms")
+        else:
+            if law.atom_mass_at(t1) <= 0.0:
+                raise CertificateError("quantile point carries no atom")
+            b = min(tau - law.cdf(t1, strict=True), law.cdf(t1) - tau)
+            if b <= 0.0:
+                raise CertificateError("tau sits at the edge of the atom's jump")
+        return TypeQParams(q=1.0, b=b, alpha=2.0)
+
+    raise CertificateError(f"unknown family {model.family!r}")
+
+
+FRAME_MODELS = {
+    "bounded": bounded_density_mixture(),
+    "bounded-narrow": uniform_noise(halfwidth=0.3),
+    "bounded-contaminated": bounded_density_mixture(contaminant_weight=0.2, contaminant_atom=0.1),
+    "polynomial": polynomial_density(),
+    "polynomial-p2": polynomial_density(exponent=2.0),
+    "polynomial-p-0.5": polynomial_density(exponent=-0.5),
+    "polynomial-contaminated": polynomial_density(
+        exponent=1.5, contaminant_weight=0.3, contaminant_atom=-0.2),
+    "dirac": dirac_atom_mixture(),
+    "dirac-asymmetric": dirac_atom_mixture(atom=0.1, uniform_weight=0.2),
+    "two-atom": two_atom(),
+    "two-atom-asymmetric": two_atom(locations=(0.1, 0.4), weights=(0.3, 0.7)),
+}
+
+
+def _outcome(certify, model, tau):
+    try:
+        cert = certify(model, tau)
+    except CertificateError as exc:
+        return "refused", str(exc)
+    return cert.q, cert.b, cert.alpha
+
+
+@pytest.mark.parametrize("model", FRAME_MODELS.values(), ids=FRAME_MODELS.keys())
+def test_frame_certificate_matches_the_four_branch_reference(model):
+    """On 999 levels and at the edges of every atom's jump, the certificate
+    read from the frame gives the reference's (q, b, alpha) bits or its
+    refusal and message, and the quantile set, C* and the level slacks are
+    those computed from the law directly."""
+    from kqr.distributions import _certificate
+    from kqr.inner_risk import min_inner_risk
+
+    law = model.noise
+    edges = [law.cdf(a.location, strict=s) for a in law.atoms for s in (True, False)]
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    taus = np.concatenate([np.linspace(0.0, 1.0, 1001)[1:-1], edges[(0 < edges) & (edges < 1)]])
+    for tau in map(float, taus):
+        assert _outcome(_certificate.__wrapped__, model, tau) == _outcome(
+            reference_certificate, model, tau), tau
+        t1, t2 = law.quantile_interval(tau)
+        assert quantile_set(model, X0, tau) == QuantileInterval(t1, t2)  # g(0) = 0
+        profile = min_inner_risk(model, X0, tau)
+        assert profile.quantile == QuantileInterval(t1, t2)
+        assert profile.c_star == law.pinball(tau, t1)
+        assert profile.q_plus == max(law.cdf(t2) - tau, 0.0)
+        assert profile.q_minus == max(tau - law.cdf(t1, strict=True), 0.0)
+
+
+def test_a_warm_frame_serves_certificate_quantile_set_and_c_star(monkeypatch):
+    """Once a frame is built, a certificate built from it, the quantile set
+    and min_inner_risk ask the law for no quantile scan, cdf or pinball."""
+    from kqr.distributions import _certificate
+    from kqr.inner_risk import min_inner_risk
+    from kqr.noise import NoiseLaw, noise_frame
+
+    cases = [(model, tau) for model in FRAME_MODELS.values() for tau in (0.05, 0.3, 0.5)]
+    want = {}
+    for model, tau in cases:
+        noise_frame(model.noise, tau)
+        want[model, tau] = _outcome(reference_certificate, model, tau)
+    _certificate.cache_clear()
+    # the dirac family has no certificate at 0.05, and names the levels that have one
+    dirac = FRAME_MODELS["dirac"].noise
+    assert want[FRAME_MODELS["dirac"], 0.05] == ("refused", "type certificate not applicable: "
+                                                 f"tau=0.05 outside ({dirac.cdf(0.0, strict=True)},"
+                                                 f" {dirac.cdf(0.0)})")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("recomputed from the law")
+
+    for name in ("quantile_interval", "cdf", "pinball"):
+        monkeypatch.setattr(NoiseLaw, name, refuse)
+    for model, tau in cases:
+        assert _outcome(_certificate, model, tau) == want[model, tau]
+        frame = noise_frame(model.noise, tau)
+        assert quantile_set(model, X0, tau) == QuantileInterval(frame.t1, frame.t2)
+        assert min_inner_risk(model, X0, tau).c_star == frame.c_star

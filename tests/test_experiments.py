@@ -203,6 +203,19 @@ def test_rate_config_rejects_empty_or_repeated_sizes():
     assert small_config(sample_sizes=(32,)).sample_sizes == (32,)
 
 
+def test_stopping_rules_reject_an_infinite_tol():
+    """An infinite tol certifies every fit, whatever its duality gap, so
+    train, tv_svm and RateConfig reject it as they reject NaN and -1."""
+    data = sample_joint(uniform_noise(), 20, seed=4)
+    for tol in (math.inf, math.nan, -1.0):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            train(data, SPEC, 0.1, 0.5, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            tv_svm(data, SPEC, lambda_grid(20, "geometric"), 0.5, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite"):
+            small_config(tol=tol)
+
+
 def test_rate_exponents_come_from_the_certificate():
     """p and q are accepted only at the certificate's values and drive
     nothing; a tau without a certificate fails before any fit."""

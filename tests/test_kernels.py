@@ -92,6 +92,16 @@ def test_fit_power_law_needs_usable_eigenvalues():
         fit_power_law(np.array([1.0, 0.5, 1e-14, 1e-15, 0.0, 0.0]))
 
 
+def test_fit_power_law_rejects_a_floor_that_is_negative_or_not_finite():
+    """A negative floor lets zero eigenvalues into the log fit (rho_hat NaN),
+    and a NaN floor keeps none of them."""
+    evals = np.append(np.arange(1.0, 41.0) ** -4.0, [0.0, 0.0])
+    for floor in (-1.0, -math.inf, math.nan, math.inf):
+        with pytest.raises(ValueError, match="floor must be finite and >= 0"):
+            fit_power_law(evals, floor=floor)
+    assert fit_power_law(evals, floor=0.0).n_used == 40
+
+
 def test_spectrum_decay_rank_deficient():
     # 20 copies of one point: Gram is rank one, like a constant kernel
     xs = np.zeros((20, 1))
@@ -154,6 +164,13 @@ def test_polynomial_dim_must_match_points():
     with pytest.raises(ValueError, match="dim"):
         PolynomialKernel(dim=2).pairwise(corner, np.ones((1, 1)))
     assert kernel_eval(PolynomialKernel(dim=2), corner, corner) == pytest.approx(1.0)
+
+
+def test_polynomial_dim_error_names_both_dims():
+    with pytest.raises(ValueError, match="kernel of dim 1 got points of dim 3"):
+        gram(PolynomialKernel(dim=1), np.ones((4, 3)))
+    with pytest.raises(ValueError, match="kernel of dim 2 got points of dim 1"):
+        PolynomialKernel(dim=2).pairwise(np.ones((1, 2)), np.ones((1, 1)))
 
 
 def test_spec_from_config_strings_takes_defaults():
