@@ -42,7 +42,7 @@ residuals = data.y - np.atleast_1d(predict(fitted, data.x))
 below = np.mean(residuals < -1e-8)
 print(f"fraction of y below the fit: {below:.3f}  (tau = {tau})")
 
-reference = reference_train(data, spec, lam, tau, iterations=20_000)
+[reference] = reference_train([data], spec, [lam], tau, iterations=20_000)
 print(f"dual solver objective        {objective(fitted, data):.6f}")
 print(f"subgradient oracle objective {objective(reference, data):.6f}")
 print(f"kkt residual partition check {kkt_residual(fitted, data):.2e}")

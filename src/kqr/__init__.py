@@ -63,10 +63,9 @@ from .kernels import (
     PolynomialKernel,
     fit_power_law,
     gram,
-    kernel_eval,
     spectrum_decay,
 )
-from .losses import Dataset, Tau, clip, empirical_risk, pinball_loss
+from .losses import Dataset, clip, empirical_risk, pinball_loss
 from .solver import (
     SolveDiagnostics,
     SvmModel,

@@ -227,7 +227,7 @@ class RateRow:
     lambda_chosen: float
     excess_risk: float
     dist_norm: float
-    converged: bool
+    converged: bool   # True in every row learning_rate_experiment returns
 
 
 @dataclass
@@ -263,7 +263,8 @@ class RateReport:
             "r_norm": self.r_norm,
             "mean_excess": {str(k): v for k, v in sorted(self.mean_excess.items())},
             "mean_dist": {str(k): v for k, v in sorted(self.mean_dist.items())},
-            # rows whose chosen fit did not converge are left out of the means
+            # the rows whose chosen fit did not converge: none from
+            # learning_rate_experiment, which stops at such a fit
             "excluded_rows": {
                 str(n): [row.rep for row in self.rows if row.n == n and not row.converged]
                 for n in sorted({row.n for row in self.rows})
@@ -300,7 +301,10 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
     """Run the TV-SVM over the configured sample sizes and fit rate slopes.
 
     Per-item seeds derive deterministically from (seed, n, repetition), so
-    the report is reproducible and items could run in any order.
+    the report is reproducible and items could run in any order.  Every row
+    rests on a certified fit: a chosen fit whose duality gap exceeds tol
+    raises ValueError, naming its n, rep, lambda, gap and tol, before any
+    later fit.
     """
     tv = tau_value(config.tau)
     exps = exponents(config.model, tv, _RATE_P)
@@ -317,6 +321,11 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
                 tol=config.tol, max_iter=config.max_iter,
             )
             diags.setdefault(n, []).extend(result.diagnostics.values())
+            chosen = result.diagnostics[result.chosen_lambda]
+            if not chosen.converged:
+                raise ValueError(
+                    f"the chosen fit at n={n}, rep={rep}, lambda={result.chosen_lambda:g} "
+                    f"is not certified: duality gap {chosen.duality_gap:.3g} > tol {config.tol:g}")
 
             def f(xs):
                 return np.atleast_1d(predict_clipped(result.model, xs))
@@ -329,20 +338,15 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
                 lambda_chosen=result.chosen_lambda,
                 excess_risk=float(risks["excess"][0]),
                 dist_norm=float(risks["dist"][0]),
-                converged=result.diagnostics[result.chosen_lambda].converged,
+                converged=True,
             ))
 
-    mean_excess: dict[int, float] = {}
-    mean_dist: dict[int, float] = {}
-    for n in config.sample_sizes:
-        ok = [row for row in rows if row.n == n and row.converged]
-        if ok:
-            mean_excess[n] = float(np.mean([row.excess_risk for row in ok]))
-            mean_dist[n] = float(np.mean([row.dist_norm for row in ok]))
+    ns = sorted(config.sample_sizes)
+    mean_excess = {n: float(np.mean([row.excess_risk for row in rows if row.n == n])) for n in ns}
+    mean_dist = {n: float(np.mean([row.dist_norm for row in rows if row.n == n])) for n in ns}
 
     # no slope from fewer than 3 sizes, nor through a mean of 0: a predictor
     # inside the quantile set has no excess and no distance to it
-    ns = sorted(mean_excess)
     excess_slope, dist_slope = (
         fit_loglog_slope(ns, values) if len(ns) >= 3 and min(values) > 0 else None
         for values in ([mean_excess[n] for n in ns], [mean_dist[n] for n in ns]))

@@ -13,8 +13,9 @@ mass of the open interval).  This module computes the closed form directly;
 ``inner_risk(t) - c_star`` is kept as an independent route for testing.
 
 The closed form reads the law's frame at tau (noise.noise_frame): the
-quantile interval, the level slack at both ends and C*, built once per
-(law, tau) and shared by every caller at that level.
+quantile interval and the level slack at both ends, built once per
+(law, tau) and shared by every caller at that level; C* is evaluated there
+on its first read.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ __all__ = [
     "PolynomialKernel",
     "MaternKernel",
     "kernel_spec_from_dict",
-    "kernel_eval",
     "gram",
     "gram_spectrum",
     "DecayEstimate",
@@ -159,12 +158,6 @@ def kernel_spec_from_dict(d) -> GaussianKernel | PolynomialKernel | MaternKernel
         raise ValueError(f"unknown {family} kernel key(s): {', '.join(unknown)}")
     # every hyperparameter has a default, and the default's type parses the value
     return cls(**{f.name: type(f.default)(d[f.name]) for f in fields(cls) if f.name in d})
-
-
-def kernel_eval(spec, x, x2) -> float:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    x2 = np.atleast_2d(np.asarray(x2, dtype=float))
-    return float(spec.pairwise(x, x2)[0, 0])
 
 
 def gram(spec, xs) -> np.ndarray:

@@ -14,27 +14,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Tau", "Dataset", "pinball_loss", "clip", "empirical_risk", "tau_value"]
-
-
-@dataclass(frozen=True)
-class Tau:
-    """Quantile level, strictly inside (0, 1)."""
-
-    value: float
-
-    def __post_init__(self):
-        v = float(self.value)
-        if not 0.0 < v < 1.0:
-            raise ValueError(f"tau must lie in the open interval (0, 1), got {v}")
-        object.__setattr__(self, "value", v)
+__all__ = ["Dataset", "pinball_loss", "clip", "empirical_risk", "tau_value"]
 
 
 def tau_value(tau) -> float:
-    """Accept a Tau or a bare float; validate either way."""
-    if isinstance(tau, Tau):
-        return tau.value
-    return Tau(float(tau)).value
+    """tau as a float, strictly inside (0, 1)."""
+    v = float(tau)
+    if not 0.0 < v < 1.0:
+        raise ValueError(f"tau must lie in the open interval (0, 1), got {v}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -62,10 +50,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
 
     def subset(self, start: int, stop: int) -> "Dataset":
         return Dataset(self.x[start:stop], self.y[start:stop])

@@ -15,10 +15,11 @@ moments up to the order its caller reads, so ``cdf``, a piece's mass and
 the quantile inversion ask for m0 alone and m2 is paid for only by the
 variance integrand.  ``pinball`` takes P(Y < t) and the
 first moment below t from one ``interval_moments`` call.  The same holds
-per level: a law's frame at tau (``noise_frame``), its quantile set, level
-slacks and C*, is built once per (law, tau) in a bounded memo keyed on the
-law, which hashes by identity, and the excess, the quantile set, C* and the
-certificate (distributions.type_q_params, memoized alike) all read it.
+per level: a law's frame at tau (``noise_frame``), its quantile set and
+level slacks, is built once per (law, tau) in a bounded memo keyed on the
+law, which hashes by identity, and evaluates C* on its first read.  The
+excess, the quantile set, C* and the certificate
+(distributions.type_q_params, memoized alike) all read it.
 """
 
 from __future__ import annotations
@@ -278,13 +279,12 @@ class NoiseLaw:
     def quantile_interval(self, tau: float) -> tuple[float, float]:
         """Exact [t_min, t_max] of the tau-quantile set: t_min = inf{t :
         F(t) >= tau} and t_max = sup{t : F(t-) <= tau} = inf{t : F(t) > tau},
-        both the first crossing of level tau in the stored CDF levels."""
+        both the first crossing of level tau in the stored CDF levels.  The
+        levels are nondecreasing, so the scan for t_max stops no earlier than
+        the scan for t_min and t_min <= t_max holds without repair."""
         if not 0.0 < tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        t_min, t_max = self._crossing(tau, False), self._crossing(tau, True)
-        if t_max < t_min:  # can only be roundoff dust
-            t_min = t_max = 0.5 * (t_min + t_max)
-        return t_min, t_max
+        return self._crossing(tau, False), self._crossing(tau, True)
 
     # -- sampling ---------------------------------------------------------------
 
@@ -320,8 +320,8 @@ class NoiseLaw:
 
 @dataclass(frozen=True)
 class _NoiseFrame:
-    """Quantile set [t1, t2] of a law at level tau, the level slacks q_plus =
-    F(t2) - tau and q_minus = tau - F(t1-), and c_star = C(t1).
+    """Quantile set [t1, t2] of a law at level tau and the level slacks
+    q_plus = F(t2) - tau and q_minus = tau - F(t1-).
 
     targets, derived from the rest, holds the law's breakpoints and the
     quantile ends, sorted and read-only: the values of f(x) - g(x) where
@@ -333,13 +333,17 @@ class _NoiseFrame:
     t2: float
     q_plus: float
     q_minus: float
-    c_star: float
     targets: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         targets = np.union1d(self.law.breakpoints, (self.t1, self.t2))
         targets.flags.writeable = False
         object.__setattr__(self, "targets", targets)
+
+    @cached_property
+    def c_star(self) -> float:
+        """C* = C(t1), on the first read: only the minimal inner risk reads it."""
+        return self.law.pinball(self.tau, self.t1)
 
 
 @lru_cache(maxsize=256)
@@ -348,4 +352,4 @@ def noise_frame(law: NoiseLaw, tau: float) -> _NoiseFrame:
     t1, t2 = law.quantile_interval(tau)
     q_plus = max(law.cdf(t2) - tau, 0.0)
     q_minus = max(tau - law.cdf(t1, strict=True), 0.0)
-    return _NoiseFrame(law, tau, t1, t2, q_plus, q_minus, law.pinball(tau, t1))
+    return _NoiseFrame(law, tau, t1, t2, q_plus, q_minus)

@@ -668,30 +668,42 @@ def train(
     return model, diagnostics
 
 
-def reference_train(data: Dataset, spec, lam: float, tau, iterations: int) -> SvmModel:
+def reference_train(datasets, spec, lams, tau, iterations: int) -> list[SvmModel]:
     """Independent oracle: subgradient descent on the primal, tail-averaged.
 
     Steps 1/(2 lam t) exploit the 2*lam strong convexity in the RKHS norm;
-    the average over the second half of the iterates is returned.  Used in
-    tests as a second opinion on the dual solver.
+    the average over the second half of the iterates is returned.  Problem
+    i is datasets[i] at lams[i]; the problems must all have one size, and
+    they are stepped together as stacked arrays, one model each, with the
+    bits each would get alone.  Used in tests as a second opinion on the
+    dual solver.
     """
     tv = tau_value(tau)
-    n = len(data)
-    g = gram(spec, data.x)
-    c = np.zeros(n)
-    acc = np.zeros(n)
+    datasets, lams = list(datasets), np.asarray(lams, dtype=float)
+    if len(datasets) != len(lams):
+        raise ValueError(f"{len(datasets)} datasets but {len(lams)} lambdas")
+    sizes = sorted({len(data) for data in datasets})
+    if len(sizes) != 1:
+        raise ValueError(f"a batch needs problems of one size, got sizes {sizes}")
+    n = sizes[0]
+    g = np.stack([gram(spec, data.x) for data in datasets])
+    y = np.stack([data.y for data in datasets])
+    two_lam = 2.0 * lams[:, None]
+    c = np.zeros(y.shape)
+    acc = np.zeros(y.shape)
     kept = 0
     start_avg = iterations // 2
     for t in range(1, iterations + 1):
-        fvals = g @ c
-        s = np.where(fvals > data.y, 1.0 - tv, np.where(fvals < data.y, -tv, 0.0))
-        grad = 2.0 * lam * c + s / n
-        c -= grad / (2.0 * lam * t)
+        fvals = (g @ c[:, :, None])[:, :, 0]
+        s = np.where(fvals > y, 1.0 - tv, np.where(fvals < y, -tv, 0.0))
+        grad = two_lam * c + s / n
+        c -= grad / (two_lam * t)
         if t > start_avg:
             acc += c
             kept += 1
     coef = acc / max(kept, 1)
-    return SvmModel(support_x=data.x, coef=coef, kernel=spec, lam=lam, tau=tv)
+    return [SvmModel(support_x=data.x, coef=w, kernel=spec, lam=float(lam), tau=tv)
+            for data, w, lam in zip(datasets, coef, lams)]
 
 
 # ---------------------------------------------------------------------------

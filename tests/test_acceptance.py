@@ -163,12 +163,12 @@ def test_criterion_06_solver_correctness():
     model = uniform_noise()
     b_ok = True
     c_ok = True
-    for seed in range(20):
-        data = sample_joint(model, 30, seed=1000 + seed)
+    datas = [sample_joint(model, 30, seed=1000 + seed) for seed in range(20)]
+    refs = reference_train(datas, SPEC, [0.05] * len(datas), 0.5, 50_000)
+    for data, ref in zip(datas, refs):
         m, diag = train(data, SPEC, 0.05, 0.5, tol=1e-6)
         if diag.converged and diag.kkt_residual > 1e-6:
             b_ok = False
-        ref = reference_train(data, SPEC, 0.05, 0.5, 50_000)
         if objective(m, data) > objective(ref, data) + 1e-3:
             c_ok = False
     ok = a_ok and b_ok and c_ok

@@ -18,6 +18,21 @@ from kqr.calibration import (
 from kqr.distributions import CertificateError, ZeroLocation, quantile_set, uniform_noise
 
 
+def test_a_check_on_a_fresh_law_evaluates_no_c_star(monkeypatch):
+    """C* is evaluated on a frame's first read of it, and the inequality
+    checks never read it: a check on a fresh law makes no pinball call."""
+    from kqr.noise import NoiseLaw, noise_frame
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pinball evaluated")
+
+    monkeypatch.setattr(NoiseLaw, "pinball", refuse)
+    model = uniform_noise(0.4)  # a new law, so every frame is built here
+    report = check_self_calibration(model, 0.3, math.inf, random_test_functions(4, 5, 1))
+    assert report.passed
+    assert "c_star" not in vars(noise_frame(model.noise, 0.3))
+
+
 def const_fn(c):
     return PiecewiseConstant(np.array([-1.0, 1.0]), np.array([c]))
 

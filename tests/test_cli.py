@@ -811,3 +811,88 @@ def test_rates_through_a_zero_mean_gives_null_slopes(tmp_path, capsys):
     assert summary["mean_excess"]["128"] == 0.0 and summary["mean_dist"]["128"] == 0.0
     assert summary["mean_excess"]["64"] > 0.0
     assert "excess slope None, dist slope None" in capsys.readouterr().out
+
+
+def test_zero_location_runs_through_the_cli(tmp_path, capsys):
+    """location = zero puts every x on the same law: each x gets the same
+    closed-form and direct excess at each t."""
+    cfg = write_config(tmp_path, "[run]\nseed = 4\n\n[model]\nfamily = two-atom\nlocation = zero\n\n"
+                                 "[check]\ntaus = 0.3\nxs = 3\nt_points = 4\n")
+    out = tmp_path / "o"
+    assert main(["check-inner-risk", "--config", cfg, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("ok:")
+    lines = (out / "report.csv").read_text().splitlines()[1:]
+    per_x = [[line.split(",", 1)[1] for line in lines if line.startswith(f"{i},")] for i in range(3)]
+    assert len(per_x[0]) == 4 and per_x[0] == per_x[1] == per_x[2]
+
+
+@pytest.mark.parametrize("model, message", [
+    ("location = cosine", "unknown location 'cosine'"),
+    ("family = two-atom\nhalfwidth = 0.5", "unknown [model] key(s) for two-atom: halfwidth"),
+], ids=["unknown-location", "key-of-another-family"])
+def test_a_model_the_family_cannot_build_exits_2(tmp_path, capsys, model, message):
+    cfg = write_config(tmp_path, f"[model]\n{model}\n")
+    out = tmp_path / "o"
+    assert main(["check-calibration", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_empty_check_ps_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, CHECK_CFG.replace("ps = inf", "ps ="))
+    out = tmp_path / "o"
+    assert main(["check-calibration", "--config", cfg, "--out", str(out)]) == 2
+    assert "[check] taus and ps need at least one value each" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_seed_past_64_bits_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, SPECTRUM_CFG)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", cfg, "--out", str(out), "--seed", str(2**64)]) == 2
+    assert "seed must be an unsigned 64-bit integer" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["spectrum", "--config", cfg, "--out", str(out), "--seed", str(2**64 - 1)]) == 0
+
+
+def test_rates_strict_grid_at_small_sizes(tmp_path):
+    """--strict-grid fits all n^2 lambdas of {i/n^2} at each size, and every
+    chosen fit is certified."""
+    cfg = write_config(tmp_path, "[rates]\nsample_sizes = 8 12 16\nrepetitions = 1\n")
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out), "--strict-grid"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert {n: c["fits"] for n, c in summary["convergence"].items()} == {
+        "8": 64, "12": 144, "16": 256}
+    assert summary["excluded_rows"] == {"8": [], "12": [], "16": []}
+    assert isinstance(summary["excess_slope"], float)
+    assert (out / "report.csv").read_text().count("\n") == 4
+
+
+def test_rates_with_an_uncertified_chosen_fit_exits_2(tmp_path, capsys):
+    """max_iter = 3 leaves the first chosen fit uncertified: the run stops
+    there, names the row and writes nothing."""
+    cfg = write_config(tmp_path, RATES_CFG.replace("max_iter = 100", "max_iter = 3"))
+    out = tmp_path / "o"
+    assert main(["rates", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: the chosen fit at n=32, rep=0, lambda=")
+    assert "is not certified: duality gap" in err and "> tol 0.0001" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["mkdir", "write_text"])
+def test_an_os_error_while_writing_exits_2(tmp_path, monkeypatch, capsys, method):
+    """An OSError past the --out pre-check, from making the directory or
+    writing a file, is an output error with exit 2."""
+    from pathlib import Path
+
+    cfg = write_config(tmp_path, SPECTRUM_CFG)
+
+    def fail(*args, **kwargs):
+        raise OSError(f"{method} failed")
+
+    monkeypatch.setattr(Path, method, fail)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert err == f"output error: {method} failed\n" and out == ""

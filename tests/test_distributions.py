@@ -412,7 +412,7 @@ def test_a_warm_frame_serves_certificate_quantile_set_and_c_star(monkeypatch):
     cases = [(model, tau) for model in FRAME_MODELS.values() for tau in (0.05, 0.3, 0.5)]
     want = {}
     for model, tau in cases:
-        noise_frame(model.noise, tau)
+        noise_frame(model.noise, tau).c_star  # C* is evaluated on its first read
         want[model, tau] = _outcome(reference_certificate, model, tau)
     _certificate.cache_clear()
     # the dirac family has no certificate at 0.05, and names the levels that have one

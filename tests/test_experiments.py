@@ -6,6 +6,7 @@ import pytest
 from kqr.distributions import CertificateError, dirac_atom_mixture, sample_joint, uniform_noise
 from kqr.kernels import GaussianKernel
 from kqr.losses import Dataset, pinball_loss
+from kqr import experiments
 from kqr.solver import train
 from kqr.experiments import (
     RateConfig,
@@ -244,15 +245,21 @@ def test_summary_lists_excluded_rows():
                         theoretical_gamma=0.5, theoretical_gamma_over_q=0.25, rho_used=0.1)
     assert report.summary()["excluded_rows"] == {"32": [1], "64": [0, 1], "128": []}
 
-    rep = learning_rate_experiment(small_config(max_iter=3))
-    excluded = rep.summary()["excluded_rows"]
-    assert sorted(excluded) == ["32", "64"]
-    for n, reps in excluded.items():
-        kept = [row for row in rep.rows if row.n == int(n) and row.rep not in reps]
-        assert all(row.converged for row in kept)
-        assert all(not row.converged for row in rep.rows if row.n == int(n) and row.rep in reps)
-        if kept:
-            assert rep.mean_excess[int(n)] == np.mean([row.excess_risk for row in kept])
-        else:
-            assert int(n) not in rep.mean_excess
-    assert any(excluded.values())
+
+def test_an_uncertified_chosen_fit_stops_the_run(monkeypatch):
+    """The first chosen fit whose gap exceeds tol raises, naming its n, rep,
+    lambda, gap and tol, and no later item is fitted; a run that returns has
+    every row certified, no excluded row, and means over every row."""
+    calls = []
+    real = experiments.tv_svm
+    monkeypatch.setattr(experiments, "tv_svm", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    with pytest.raises(ValueError, match=r"the chosen fit at n=32, rep=0, lambda=0\.25 is not "
+                                         r"certified: duality gap \S+ > tol 0\.0001$"):
+        learning_rate_experiment(small_config(max_iter=3))
+    assert len(calls) == 1
+
+    rep = learning_rate_experiment(small_config())
+    assert all(row.converged for row in rep.rows)
+    assert rep.summary()["excluded_rows"] == {"32": [], "64": []}
+    for n in (32, 64):
+        assert rep.mean_excess[n] == np.mean([row.excess_risk for row in rep.rows if row.n == n])

@@ -9,7 +9,6 @@ from kqr.kernels import (
     PolynomialKernel,
     fit_power_law,
     gram,
-    kernel_eval,
     kernel_spec_from_dict,
     spectrum_decay,
 )
@@ -24,12 +23,12 @@ ALL_SPECS = [
 ]
 
 
-def test_kernel_eval_examples():
+def test_pairwise_examples():
     g = GaussianKernel(1.0)
-    assert kernel_eval(g, [0.3], [0.3]) == pytest.approx(1.0)
-    assert kernel_eval(g, [0.0], [1.0]) == pytest.approx(math.exp(-1.0))
+    assert g.pairwise([0.3], [0.3])[0, 0] == pytest.approx(1.0)
+    assert g.pairwise([0.0], [1.0])[0, 0] == pytest.approx(math.exp(-1.0))
     poly = PolynomialKernel(degree=3)
-    assert kernel_eval(poly, [0.0], [0.0]) <= 1.0
+    assert poly.pairwise([0.0], [0.0])[0, 0] <= 1.0
 
 
 def test_kernel_bounded_by_one():
@@ -163,7 +162,7 @@ def test_polynomial_dim_must_match_points():
         gram(PolynomialKernel(dim=1), corner)
     with pytest.raises(ValueError, match="dim"):
         PolynomialKernel(dim=2).pairwise(corner, np.ones((1, 1)))
-    assert kernel_eval(PolynomialKernel(dim=2), corner, corner) == pytest.approx(1.0)
+    assert PolynomialKernel(dim=2).pairwise(corner, corner)[0, 0] == pytest.approx(1.0)
 
 
 def test_polynomial_dim_error_names_both_dims():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kqr.losses import Dataset, Tau, clip, empirical_risk, pinball_loss
+from kqr.losses import Dataset, clip, empirical_risk, pinball_loss, tau_value
 
 units = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 taus = st.floats(min_value=0.01, max_value=0.99)
@@ -10,12 +10,12 @@ taus = st.floats(min_value=0.01, max_value=0.99)
 
 def test_tau_rejects_boundaries():
     with pytest.raises(ValueError):
-        Tau(0.0)
+        tau_value(0.0)
     with pytest.raises(ValueError):
-        Tau(1.0)
-    with pytest.raises(ValueError):
-        Tau(-0.2)
-    assert Tau(0.5).value == 0.5
+        tau_value(1.0)
+    with pytest.raises(ValueError, match=r"open interval \(0, 1\), got -0\.2"):
+        tau_value(-0.2)
+    assert tau_value(0.5) == 0.5
 
 
 def test_pinball_loss_examples():

@@ -114,23 +114,41 @@ def test_convergence_flag_honest():
 
 def test_reference_train_one_point():
     data = one_point_data()
-    for lam, want in [(1.0, 0.25), (0.25, 0.9)]:
-        ref = reference_train(data, UNIT_SPEC, lam, 0.5, 200_000)
+    cases = [(1.0, 0.25), (0.25, 0.9)]
+    refs = reference_train([data] * 2, UNIT_SPEC, [lam for lam, _ in cases], 0.5, 200_000)
+    for (lam, want), ref in zip(cases, refs):
         analytic = lam * want**2 + pinball_loss(0.5, 0.9, want)
         assert objective(ref, data) <= analytic + 1e-4
 
 
 def test_reference_train_zero_data():
-    ref = reference_train(one_point_data(0.0), UNIT_SPEC, 1.0, 0.5, 1000)
+    [ref] = reference_train([one_point_data(0.0)], UNIT_SPEC, [1.0], 0.5, 1000)
     assert ref.coef[0] == 0.0
+
+
+def test_reference_train_batch_gives_each_problem_its_own_bits():
+    """A problem stepped in a batch ends with the coefficients it gets
+    alone; a batch of mixed sizes, or with a lambda per problem missing,
+    is refused."""
+    model = uniform_noise()
+    datas = [sample_joint(model, 12, seed=70 + seed) for seed in range(3)]
+    lams = [0.05, 0.01, 0.2]
+    batch = reference_train(datas, SPEC, lams, 0.3, 500)
+    for data, lam, got in zip(datas, lams, batch):
+        [alone] = reference_train([data], SPEC, [lam], 0.3, 500)
+        assert np.array_equal(got.coef, alone.coef) and got.lam == lam
+    with pytest.raises(ValueError, match=r"one size, got sizes \[12, 13\]"):
+        reference_train([datas[0], sample_joint(model, 13, seed=1)], SPEC, [0.05] * 2, 0.3, 10)
+    with pytest.raises(ValueError, match="3 datasets but 2 lambdas"):
+        reference_train(datas, SPEC, lams[:2], 0.3, 10)
 
 
 def test_dual_beats_reference_on_random_instances():
     model = uniform_noise()
-    for seed in range(5):
-        data = sample_joint(model, 30, seed=40 + seed)
+    datas = [sample_joint(model, 30, seed=40 + seed) for seed in range(5)]
+    refs = reference_train(datas, SPEC, [0.05] * len(datas), 0.5, 50_000)
+    for data, ref in zip(datas, refs):
         m, _ = train(data, SPEC, 0.05, 0.5, tol=1e-8)
-        ref = reference_train(data, SPEC, 0.05, 0.5, 50_000)
         assert objective(m, data) <= objective(ref, data) + 1e-3
 
 
