@@ -42,6 +42,7 @@ from .experiments import (
     LambdaGrid,
     RateConfig,
     RateReport,
+    UncertifiedFitError,
     lambda_grid,
     learning_rate_experiment,
     theoretical_gamma,

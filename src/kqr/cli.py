@@ -40,6 +40,7 @@ from .calibration import (
 from .distributions import ConditionalModel, SineLocation, ZeroLocation, sample_joint
 from .experiments import (
     RateConfig,
+    UncertifiedFitError,
     lambda_grid,
     learning_rate_experiment,
     tv_svm,
@@ -442,6 +443,9 @@ def main(argv=None) -> int:
             raise ConfigError("seed must be an unsigned 64-bit integer")
         command, _ = COMMANDS[args.command]
         outcome = command(cfg, seed, getattr(args, "strict_grid", False))
+    except UncertifiedFitError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

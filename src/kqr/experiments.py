@@ -49,7 +49,13 @@ __all__ = [
     "RateReport",
     "fit_loglog_slope",
     "learning_rate_experiment",
+    "UncertifiedFitError",
 ]
+
+
+class UncertifiedFitError(ValueError):
+    """A rate run's chosen fit whose duality gap exceeds tol: the config
+    was valid, and the solver fell short of it."""
 
 
 @dataclass(frozen=True)
@@ -303,8 +309,8 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
     Per-item seeds derive deterministically from (seed, n, repetition), so
     the report is reproducible and items could run in any order.  Every row
     rests on a certified fit: a chosen fit whose duality gap exceeds tol
-    raises ValueError, naming its n, rep, lambda, gap and tol, before any
-    later fit.
+    raises UncertifiedFitError, a ValueError naming its n, rep, lambda, gap
+    and tol, before any later fit.
     """
     tv = tau_value(config.tau)
     exps = exponents(config.model, tv, _RATE_P)
@@ -323,7 +329,7 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
             diags.setdefault(n, []).extend(result.diagnostics.values())
             chosen = result.diagnostics[result.chosen_lambda]
             if not chosen.converged:
-                raise ValueError(
+                raise UncertifiedFitError(
                     f"the chosen fit at n={n}, rep={rep}, lambda={result.chosen_lambda:g} "
                     f"is not certified: duality gap {chosen.duality_gap:.3g} > tol {config.tol:g}")
 

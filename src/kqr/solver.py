@@ -20,16 +20,18 @@ _RANK_CUTOFF.
 - Low rank: a Mehrotra predictor-corrector interior point (in the spirit
   of the Frisch-Newton method of Portnoy & Koenker, Stat. Sci. 1997)
   solves the dual with G replaced by L L'.  Each Newton step forms one
-  r x r core I/c + L' D^-1 L, O(n r^2), and its eigen-decomposition
-  V E V'; every Woodbury solve of the step then runs against the shared
-  factor L itself, x = D^-1 v and x - D^-1 L V E^-1 V' L' x, two
-  matrix-vector products with L and two with V, O(n r) (the low-rank
-  interior point of Fine & Scheinberg, JMLR 2001).  The iteration count
-  does not grow as lambda shrinks.  The lambdas of a path share L, y and
-  tau, so a block of them steps together, one row each, in one Newton
-  loop; each row stops on its own test and keeps the bits a solve of that
-  lambda alone gives.  A crossover then snaps every coordinate to the
-  bound its multiplier selects and polishes the result.
+  r x r core I/c + L' D^-1 L = R R', O(n r^2), with its Cholesky factor R
+  and R^-1; every Woodbury solve of the step then runs against the shared
+  factor L itself, x = D^-1 v and x - D^-1 L R^-T R^-1 L' x, two
+  matrix-vector products with L and two with R^-1, O(n r) (the low-rank
+  interior point of Fine & Scheinberg, JMLR 2001).  The predictor's solve
+  is not refined and the corrector's is refined once, so a step makes
+  three solves.  The iteration count does not grow as lambda shrinks.
+  The lambdas of a path share L, y and tau, so a block of them steps
+  together, one row each, in one Newton loop; each row stops on its own
+  test and keeps the bits a solve of that lambda alone gives.  A crossover
+  then snaps every coordinate to the bound its multiplier selects and
+  polishes the result.
 - Otherwise: coordinate descent projects each Newton step onto the box,
   with pair updates on the worst violators, and polishes its iterate every
   fifth epoch.
@@ -106,10 +108,10 @@ _ORDER_SEED = 0
 _PIVOT_TOL = 1e-13
 # The interior point runs when the numerical rank r is at most this.  Its
 # Newton step costs O(n r^2) per lambda: at n = 1025 on a 2-core machine, a
-# batched step of 16 lambdas takes 6.2 ms at r = 21 (0.39 ms per lambda,
-# against 0.80 ms for a lambda alone) and 84 ms at r = 200 (5.3 ms per
-# lambda, against 7.5 ms alone), and a fit takes 10 to 26 steps at every
-# lambda of the experiments' grids.  At r = 200 that is the price of about 50
+# batched step of 16 lambdas takes 2.9 ms at r = 21 (0.18 ms per lambda,
+# against 0.32 ms for a lambda alone) and 64 ms at r = 200 (4.0 ms per
+# lambda, against 3.9 ms alone), and a fit takes 10 to 26 steps at every
+# lambda of the experiments' grids.  At r = 200 that is the price of about 40
 # coordinate-descent epochs of 2 ms, and CD needs hundreds at small
 # lambda.  Past the cutoff, where full-rank Grams such as Matern(1/2) land,
 # the factorization has cost O(n _RANK_CUTOFF^2) (9 ms at n = 1025) and CD
@@ -123,13 +125,13 @@ _RANK_CUTOFF = 200
 _IP_MU_TOL = 1e-12
 _IP_RES_TOL = 1e-9
 # _Gram.path solves this many lambdas at once, which bounds a path's memory
-# at O(block m + m r).  A rate round (Gaussian(0.5), n = 128 ... 2048, 15 to
-# 23 lambdas a path, 2-core machine) took 0.61 s solving one lambda at a
-# time, 0.47 s in blocks of 4, and 0.41 to 0.42 s in blocks of 8, 12 or 16
-# or one per path.  Peak RSS over 15 rounds in one process read 89.3 MB one
-# at a time, 89.6 at 4, 100.8 at 8 (glibc heap retention: 88.8 with its mmap
-# threshold pinned), 88.9 at 12 and 89.3 at 16.
-_PATH_BLOCK = 16
+# at O(block m r).  A rate round (Gaussian(0.5), n = 128 ... 2048, 15 to 23
+# lambdas a path, 2-core machine, the median of 15 rounds in one process)
+# took 0.225 to 0.229 s in blocks of 8 (two processes), 0.209 to 0.305 s in
+# blocks of 16 and 0.203 to 0.230 s in blocks of 23, one block per path
+# (five processes each, alternating).  Peak RSS read 85.3 MB at 8, 89.1 to
+# 89.4 at 16 and 70.6 to 70.8 at 23 (glibc heap retention).
+_PATH_BLOCK = 23
 
 
 @dataclass(frozen=True)
@@ -429,10 +431,11 @@ def _interior_point(chol, y, lams, tau, max_iter):
     iterates: recomputing u - a would lose the slack's digits near a bound.
 
     Each Newton step solves with c L L' + D, D = z/s + w/t, by Woodbury:
-    one r x r core I/c + L' D^-1 L = V E V' per row is the only product
+    one r x r core I/c + L' D^-1 L = R R' per row is the only product
     that reads a (k, m, r) stack, and each solve is x = D^-1 v, then
-    p = V E^-1 V' L' x applied as three products in turn, and
-    x - D^-1 L p, against the shared L.
+    p = R^-T R^-1 L' x applied as three products in turn, and
+    x - D^-1 L p, against the shared L.  The predictor solve is not
+    refined, and the corrector solve is refined once.
 
     The lambdas of a block share L, y and tau, so they step together as the
     rows of (k, m) arrays and one Newton step pays numpy's dispatch once for
@@ -479,35 +482,36 @@ def _interior_point(chol, y, lams, tau, max_iter):
         last = u, s, t, z, w
         iters += 1
         diag = z / s + w / t
-        # the r x r core goes through a symmetric eigen-solve, which does not
-        # break down when D spans many decades near the solution; V, 1/E and
-        # V' apply in turn, since an explicit V E^-1 V' rounds worse and
-        # leaves some small-lambda fits uncertified
-        evals, evecs = np.linalg.eigh(np.eye(r) / c[:, None, None]
-                                      + (chol.T / diag[:, None, :]) @ chol)
-        evecs_t = evecs.transpose(0, 2, 1)
+        # the r x r core, I/c plus a PSD term, is R R' with R lower
+        # triangular; R^-T and R^-1 apply in turn, since an explicit core^-1
+        # rounds worse and leaves some small-lambda fits uncertified
+        r_inv = np.linalg.inv(np.linalg.cholesky(np.eye(r) / c[:, None, None]
+                                                 + (chol.T / diag[:, None, :]) @ chol))
+        r_inv_t = r_inv.transpose(0, 2, 1)
 
         def woodbury(v):
             x = v / diag
-            p = _rows(_rows(_rows(x, chol), evecs) / evals, evecs_t)
+            p = _rows(_rows(_rows(x, chol), r_inv_t), r_inv)
             return x - _rows(p, chol.T) / diag
 
-        def newton(r_sz, r_tw):
+        def newton(r_sz, r_tw, refine):
             rhs = -r_d + (r_sz - z * r_s) / s - (r_tw - w * r_t) / t
             du = woodbury(rhs)
-            for _ in range(2):  # iterative refinement keeps the dual residual down
+            if refine:  # one refinement keeps the corrector's dual residual down
                 du += woodbury(rhs - c[:, None] * _rows(_rows(du, chol), chol.T) - diag * du)
             ds, dt = du + r_s, r_t - du
             return du, ds, dt, (r_sz - z * ds) / s, (r_tw - w * dt) / t
 
-        du, ds, dt, dz, dw = newton(-s * z, -t * w)
+        # the predictor only sets the step length, mu_aff and the
+        # second-order term, so its solve is not refined
+        du, ds, dt, dz, dw = newton(-s * z, -t * w, refine=False)
         step = _step_to_boundary((s, ds), (t, dt), (z, dz), (w, dw))[:, None]
         mu_aff = (_row_dots(s + step * ds, z + step * dz)
                   + _row_dots(t + step * dt, w + step * dw)) / (2 * m)
         # a scalar power per row: numpy's vectorized power can round differently
         target = np.array([ratio ** 3 for ratio in (mu_aff / mu).tolist()]) * mu
         du, ds, dt, dz, dw = newton(target[:, None] - s * z - ds * dz,
-                                    target[:, None] - t * w - dt * dw)
+                                    target[:, None] - t * w - dt * dw, refine=True)
         step = 0.99 * _step_to_boundary((s, ds), (t, dt), (z, dz), (w, dw))
         step = np.minimum(1.0, step)[:, None]
         u, s, t = u + step * du, s + step * ds, t + step * dt

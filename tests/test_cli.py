@@ -871,12 +871,13 @@ def test_rates_strict_grid_at_small_sizes(tmp_path):
 
 def test_rates_with_an_uncertified_chosen_fit_exits_2(tmp_path, capsys):
     """max_iter = 3 leaves the first chosen fit uncertified: the run stops
-    there, names the row and writes nothing."""
+    there with a solver error, not a config error, names the row and writes
+    nothing."""
     cfg = write_config(tmp_path, RATES_CFG.replace("max_iter = 100", "max_iter = 3"))
     out = tmp_path / "o"
     assert main(["rates", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: the chosen fit at n=32, rep=0, lambda=")
+    assert err.startswith("solver error: the chosen fit at n=32, rep=0, lambda=")
     assert "is not certified: duality gap" in err and "> tol 0.0001" in err
     assert not out.exists()
 

@@ -112,6 +112,29 @@ def test_convergence_flag_honest():
     assert not diag_short.converged
 
 
+def test_tiny_lambda_fit_at_tau_one_tenth_is_certified():
+    """Far below the grids' floor lambda * m >= 1/(4n), the interior point
+    certifies this fit."""
+    data = sample_joint(uniform_noise(), 60, seed=3)
+    _, diag = train(data, SPEC, 1e-9, 0.1)
+    assert diag.converged and diag.duality_gap <= 1e-8
+
+
+def test_corrector_refinement_keeps_a_small_lambda_fit_at_roundoff():
+    """The TV-SVM training half of the rate experiment's polynomial-density
+    sample at n = 1024, rep 0, seed 1, at the grid's floor lambda = 2^-20.
+    The corrector's one refinement keeps its gap at roundoff; without it the
+    interior point stops at a gap of 1.6e-6."""
+    from kqr.distributions import polynomial_density
+    from kqr.util import derive_seed_sequence
+
+    n = 1024
+    seed = int(derive_seed_sequence(1, "sample", n, 0).generate_state(1)[0])
+    data = sample_joint(polynomial_density(), n, seed).subset(0, n // 2 + 1)
+    _, diag = train(data, SPEC, 2.0**-20, 0.5, tol=1e-4, max_iter=300)
+    assert diag.duality_gap <= 1e-9
+
+
 def test_reference_train_one_point():
     data = one_point_data()
     cases = [(1.0, 0.25), (0.25, 0.9)]
