@@ -29,7 +29,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, distributions
 from .calibration import (
@@ -178,7 +177,6 @@ def _manifest(command: str, config_path: str, seed: int) -> str:
         "versions": {
             "kqr": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

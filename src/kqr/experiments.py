@@ -128,11 +128,9 @@ def tv_svm(
     descending grid, validated on the rest with clipped predictions, and
     the smallest lambda among the minimizers is returned.  The training
     Gram is factored and checked PSD once for the whole path, and its
-    _Gram.path solves the grid on that Gram's engine; train is called once
-    per lambda to take the finished fit.  On a factored Gram each fit has
-    the bits of a train call at that lambda alone; coordinate descent, past
-    the rank cutoff, starts each lambda from the previous fit.  A fit
-    converged when its duality gap is at most tol.  A tol that is not finite
+    _Gram.path solves the grid in blocks; train is called once per lambda
+    to take the finished fit, which has the bits of a train call at that
+    lambda alone.  A fit converged when its duality gap is at most tol.  A tol that is not finite
     and nonnegative, or max_iter < 1, raises ValueError before the Gram is built.
     """
     n = len(data)

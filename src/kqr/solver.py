@@ -12,55 +12,50 @@ exchanging min and max gives the box-constrained dual
 
 whose solution expands the primal optimum as f = sum_i alpha_i k(x_i, .).
 
-`train` picks one of two engines by the numerical rank of G.  A pivoted
-incomplete Cholesky G = L L' (Fine & Scheinberg, JMLR 2001) stops once
-every residual diagonal is below 1e-13, or once the rank r passes
-_RANK_CUTOFF.
-
-- Low rank: a Mehrotra predictor-corrector interior point (in the spirit
-  of the Frisch-Newton method of Portnoy & Koenker, Stat. Sci. 1997)
-  solves the dual with G replaced by L L'.  Each Newton step forms one
-  r x r core I/c + L' D^-1 L = R R', O(n r^2), with its Cholesky factor R
-  and R^-1; every Woodbury solve of the step then runs against the shared
-  factor L itself, x = D^-1 v and x - D^-1 L R^-T R^-1 L' x, two
-  matrix-vector products with L and two with R^-1, O(n r) (the low-rank
-  interior point of Fine & Scheinberg, JMLR 2001).  The predictor's solve
-  is not refined and the corrector's is refined once, so a step makes
-  three solves.  The iteration count does not grow as lambda shrinks.
-  The lambdas of a path share L, y and tau, so a block of them steps
-  together, one row each, in one Newton loop; each row stops on its own
-  test and keeps the bits a solve of that lambda alone gives.  A crossover
-  then snaps every coordinate to the bound its multiplier selects and
-  polishes the result.
-- Otherwise: coordinate descent projects each Newton step onto the box,
-  with pair updates on the worst violators, and polishes its iterate every
-  fifth epoch.
+`train` runs one path on every Gram.  A pivoted incomplete Cholesky
+G ~ L L' (Fine & Scheinberg, JMLR 2001) stops once every residual diagonal
+is below 1e-13, or at _RANK_CUTOFF columns, which cuts the factor of a
+full-rank Gram.  A Mehrotra predictor-corrector interior point (in the
+spirit of the Frisch-Newton method of Portnoy & Koenker, Stat. Sci. 1997)
+solves the dual with G replaced by L L', each Newton step a Woodbury solve
+with one r x r core per lambda, O(n r^2) (the low-rank interior point of
+Fine & Scheinberg, JMLR 2001).  The iteration count does not grow as lambda
+shrinks.  The lambdas of a path share L, y and tau, so a block of them
+steps together, one row each, in one Newton loop; each row stops on its own
+test and keeps the bits a solve of that lambda alone gives.  A crossover
+then snaps every coordinate to the bound its multiplier selects and
+polishes the result on the full G.  A fit whose gap is still above tol, as
+a cut factor can leave it, goes on to coordinate descent from the
+crossover's iterate, which projects each Newton step onto the box, with
+pair updates on the worst violators, and polishes its iterate every fifth
+epoch; the smaller of the two gaps is kept.
 
 Each Gram is factored once: a caller that trains along a lambda path
-prepares it with _prepare, walks the grid with _Gram.path, which runs the
-engine's path, and passes it to train as gram_matrix to take each fit.
+prepares it with _prepare, walks the grid with _Gram.path, which solves
+it in blocks, and passes it to train as gram_matrix to take each fit.
 The factorization is also the PSD check.  With G = L L' + E and L L' PSD,
 Gershgorin's discs of the residual E bound the smallest eigenvalue of G
-from below.  Past _RANK_CUTOFF, one dense Cholesky of G certifies it
+from below.  When the factor is cut, one dense Cholesky of G certifies it
 instead: one that succeeds in floating point bounds the smallest
 eigenvalue below by -O(m^2 eps max_i G_ii), far inside -_PSD_TOL.  The
 exact eigenvalue check runs only when neither certifies the matrix, as
 for a singular Gram of full numerical rank (a duplicated point), and it
 alone decides whether the Gram is rejected.
 
-Both engines return a box-feasible alpha, certified by one number, the
-duality gap on the full G with f = G alpha,
+Every fit is a box-feasible alpha, certified by one number, the duality
+gap on the full G with f = G alpha,
 
     P - D = 2 lam alpha' f + (1/n) sum_i L(y_i, f(x_i)) - 2 lam alpha' y,
 
 in objective units: the fit's objective is at most the gap above the
 optimum.  It reads G once, for f; alpha' G alpha is alpha' f.  A fit
-converged when its gap is at most tol, and coordinate descent stops on it.
-Both engines keep a polish by one rule: it solves the iterate's free block
-exactly on the full G, and replaces the iterate when its gap is no larger.
-Its f is the iterate's f plus the rows of the coordinates it moved, so the
-crossover makes one full pass over G per lambda, plus one for the raw
-iterate when no polished candidate is kept.
+converged when its gap is at most tol; the gap decides whether coordinate
+descent runs, and coordinate descent stops on it.  Both keep a polish by
+one rule: it solves the iterate's free block exactly on the full G, and
+replaces the iterate when its gap is no larger.  Its f is the iterate's f
+plus the rows of the coordinates it moved, so the crossover makes one full
+pass over G per lambda, plus one for the raw iterate when no polished
+candidate is kept.
 The KKT residual stays as a diagnostic: with r_i = y_i - f(x_i),
 
     r_i >  1e-10  requires alpha_i at the upper bound,
@@ -106,16 +101,16 @@ _ORDER_SEED = 0
 # Pivoting stops once every residual diagonal of G - L L' is at most this;
 # the kernels have k(x, x) <= 1, so it is relative to the largest diagonal.
 _PIVOT_TOL = 1e-13
-# The interior point runs when the numerical rank r is at most this.  Its
-# Newton step costs O(n r^2) per lambda: at n = 1025 on a 2-core machine, a
+# The pivoted factor has at most this many columns: the numerical rank r of a
+# low-rank Gram, and the width at which a full-rank one (Matern) is cut.  A
+# Newton step costs O(n r^2) per lambda: on a 2-core machine, at n = 1025 a
 # batched step of 16 lambdas takes 2.9 ms at r = 21 (0.18 ms per lambda,
-# against 0.32 ms for a lambda alone) and 64 ms at r = 200 (4.0 ms per
-# lambda, against 3.9 ms alone), and a fit takes 10 to 26 steps at every
-# lambda of the experiments' grids.  At r = 200 that is the price of about 40
-# coordinate-descent epochs of 2 ms, and CD needs hundreds at small
-# lambda.  Past the cutoff, where full-rank Grams such as Matern(1/2) land,
-# the factorization has cost O(n _RANK_CUTOFF^2) (9 ms at n = 1025) and CD
-# takes over.
+# against 0.32 ms alone), and at n = 800, r = 200 a step for one lambda
+# takes 2.4 ms (Matern(1/2), after a 4.0 ms factorization).  A fit takes 10
+# to 26 steps at every lambda of the experiments' grids.  A narrower factor
+# leaves fits uncertified: at 100, the Dirac-atom and two-atom Matern(3/2)
+# paths at n = 600 (tol 1e-5) certified 13 and 18 of 20 fits, against 19
+# and 20 at 200.
 _RANK_CUTOFF = 200
 # The interior point stops at mu = (s'z + t'w)/(2n) <= _IP_MU_TOL, where the
 # multipliers already select the right bounds for the crossover, or when a
@@ -160,11 +155,12 @@ class SvmModel:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """How a fit went.  iterations counts CD epochs or interior-point steps;
-    duality_gap is P - D of the returned alpha on the full Gram, in
-    objective units, the one optimality certificate; converged means it is
-    at most the fit's tol; kkt_residual is a diagnostic in alpha units with
-    a tie band of 1e-10."""
+    """How a fit went.  iterations counts the interior point's Newton steps
+    plus any epochs of the coordinate descent that finishes it; duality_gap
+    is P - D of the returned alpha on the full Gram, in objective units, the
+    one optimality certificate; converged means it is at most the fit's
+    tol; kkt_residual is a diagnostic in alpha units with a tie band of
+    1e-10."""
 
     iterations: int
     final_objective: float
@@ -270,9 +266,10 @@ def _polish(g, y, alpha, lo, up, cap: int = 600, rounds: int = 12):
 
 def _polished(g, y, lam, tau, fit, lo, up):
     """fit = (alpha, f, P, P - D) with its free block solved by _polish, as
-    the same tuple, if that does not raise the gap; otherwise None.  Both
-    engines finish an iterate by this one rule.  The polished f is fit's f
-    plus the rows of the few coordinates the polish moved, not a pass over G."""
+    the same tuple, if that does not raise the gap; otherwise None.  The
+    crossover and coordinate descent finish an iterate by this one rule.
+    The polished f is fit's f plus the rows of the few coordinates the
+    polish moved, not a pass over G."""
     alpha, fvals, _, gap = fit
     cand = _polish(g, y, alpha, lo, up)
     if cand is None:
@@ -376,23 +373,22 @@ def _coordinate_descent(g, y, lam, tau, lo, up, alpha0, tol, max_iter):
 
 
 def _pivoted_cholesky(g):
-    """L (m x r) with G = L L' up to residual diagonals <= _PIVOT_TOL, by
-    greedy pivoting on the largest residual diagonal (Fine & Scheinberg,
-    JMLR 2001); None once r passes _RANK_CUTOFF."""
+    """(L, done): L (m x r) with G ~ L L' by greedy pivoting on the largest
+    residual diagonal (Fine & Scheinberg, JMLR 2001), r <= _RANK_CUTOFF;
+    done says pivoting ended with every residual diagonal <= _PIVOT_TOL,
+    not cut at _RANK_CUTOFF columns."""
     m = len(g)
     diag = np.diag(g).copy()
     chol = np.zeros((m, min(m, _RANK_CUTOFF)))
-    for k in range(m):
+    for k in range(chol.shape[1]):
         j = int(np.argmax(diag))
         if diag[j] <= _PIVOT_TOL:
-            return chol[:, :k]
-        if k == _RANK_CUTOFF:
-            return None
+            return chol[:, :k], True
         col = (g[:, j] - chol[:, :k] @ chol[j, :k]) / math.sqrt(diag[j])
         chol[:, k] = col
         diag -= col * col
         diag[j] = 0.0
-    return chol
+    return chol, bool(np.max(diag, initial=0.0) <= _PIVOT_TOL)
 
 
 def _step_to_boundary(*pairs) -> np.ndarray:
@@ -523,49 +519,46 @@ def _interior_point(chol, y, lams, tau, max_iter):
 
 @dataclass(frozen=True)
 class _Gram:
-    """A Gram matrix checked PSD, with its pivoted Cholesky factor (None once
-    the rank passes _RANK_CUTOFF).  Build it with _prepare.
+    """A Gram matrix checked PSD, with its pivoted Cholesky factor of at
+    most _RANK_CUTOFF columns.  Build it with _prepare.
 
-    path solves a lambda grid in blocks with solve_block, on the engine the
-    factor selects; each fit waits in `solved`, keyed by lambda, until
-    train takes it."""
+    path solves a lambda grid in blocks with solve_block; each fit waits in
+    `solved`, keyed by lambda, until train takes it."""
 
     matrix: np.ndarray
-    chol: np.ndarray | None
+    chol: np.ndarray
     solved: dict = field(default_factory=dict)
 
-    def solve_block(self, y, lams, tau, tol, max_iter, start=None):
+    def solve_block(self, y, lams, tau, tol, max_iter):
         """Keep the fit (alpha, f, P, P - D, iterations) of every lambda of
-        lams for train.  A factored Gram steps the interior point on the
-        block together, then runs each row's crossover.  Otherwise coordinate
-        descent starts each lambda from the last (lambda, alpha), the first
-        from start (zero if None); the last one is returned for the next."""
+        lams for train: the interior point steps the block together on the
+        factor, then each row's crossover runs on the full Gram, and a row
+        left with a gap above tol goes on to coordinate descent from the
+        crossover's alpha.  The smaller gap is kept; iterations counts the
+        Newton steps plus those epochs."""
         y = np.array(y)   # a copy, to match against train's y
         n = len(y)
-        if self.chol is not None:
-            u, at_lo, at_up, iters = _interior_point(self.chol, y, lams, tau, max_iter)
+        u, at_lo, at_up, iters = _interior_point(self.chol, y, lams, tau, max_iter)
         for i, lam in enumerate(lams):
             lo, up = _bounds(tau, lam, n)
-            if self.chol is None:
-                # the dual box rescales exactly by the ratio of the lambdas
-                alpha0 = np.zeros(n) if start is None else np.clip(start[1] * (start[0] / lam), lo, up)
-                fit = _coordinate_descent(self.matrix, y, lam, tau, lo, up, alpha0, tol, max_iter)
-                start = lam, fit[0]
-            else:
-                # crossover: snap to the bounds the multipliers select
-                raw = np.clip(u[i] / (2.0 * lam * n), lo, up)
-                snapped = raw.copy()
-                snapped[at_lo[i]], snapped[at_up[i]] = lo, up
-                fit = (*_crossover(self.matrix, y, lam, tau, raw, snapped, lo, up), int(iters[i]))
-            self.solved[lam] = (tau, tol, max_iter, y, fit)
-        return start
+            # crossover: snap to the bounds the multipliers select
+            raw = np.clip(u[i] / (2.0 * lam * n), lo, up)
+            snapped = raw.copy()
+            snapped[at_lo[i]], snapped[at_up[i]] = lo, up
+            fit, steps = _crossover(self.matrix, y, lam, tau, raw, snapped, lo, up), int(iters[i])
+            if fit[3] > tol:
+                *finished, epochs = _coordinate_descent(self.matrix, y, lam, tau, lo, up,
+                                                        fit[0], tol, max_iter)
+                steps += epochs
+                if finished[3] < fit[3]:
+                    fit = finished
+            self.solved[lam] = (tau, tol, max_iter, y, (*fit, steps))
 
     def path(self, y, lams, tau, tol, max_iter):
         """Solve the descending lams in blocks of _PATH_BLOCK and yield each
         lambda once its fit waits in `solved`."""
-        start = None
         for i in range(0, len(lams), _PATH_BLOCK):
-            start = self.solve_block(y, lams[i:i + _PATH_BLOCK], tau, tol, max_iter, start)
+            self.solve_block(y, lams[i:i + _PATH_BLOCK], tau, tol, max_iter)
             yield from lams[i:i + _PATH_BLOCK]
 
     def solution(self, y, lam, tau, tol, max_iter):
@@ -581,16 +574,16 @@ class _Gram:
 def _prepare(g: np.ndarray) -> _Gram:
     """Factor g and check it PSD within _PSD_TOL; raise ValueError if not.
 
-    Low rank: G = L L' + E with L L' PSD, so by Gershgorin the smallest
-    eigenvalue of G is at least min_i (E_ii - sum_{j != i} |E_ij|).
-    Past _RANK_CUTOFF: a dense Cholesky of G that succeeds in floating point
-    certifies a smallest eigenvalue of at least -O(m^2 eps max_i G_ii)
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2002, 10.1),
-    about -7e-11 at m = 800, well inside -_PSD_TOL.  When the Gershgorin
+    A finished factor: G = L L' + E with L L' PSD, so by Gershgorin the
+    smallest eigenvalue of G is at least min_i (E_ii - sum_{j != i} |E_ij|).
+    A factor cut at _RANK_CUTOFF: a dense Cholesky of G that succeeds in
+    floating point certifies a smallest eigenvalue of at least
+    -O(m^2 eps max_i G_ii) (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, 10.1), about -7e-11 at m = 800, well inside -_PSD_TOL.  When the Gershgorin
     bound is below -_PSD_TOL, or the Cholesky fails (a singular PSD Gram
     has none either), a dense eigen-solve decides."""
-    chol = _pivoted_cholesky(g)
-    if chol is not None:
+    chol, done = _pivoted_cholesky(g)
+    if done:
         resid = chol @ chol.T
         np.subtract(g, resid, out=resid)
         d = resid.diagonal().copy()
@@ -600,7 +593,7 @@ def _prepare(g: np.ndarray) -> _Gram:
     else:
         try:
             np.linalg.cholesky(g)
-            return _Gram(g, None)
+            return _Gram(g, chol)
         except np.linalg.LinAlgError:
             pass
     min_eig = float(np.linalg.eigvalsh(g)[0])
@@ -642,12 +635,12 @@ def train(
 
     gram_matrix is the training Gram, or the value _prepare made of it, so
     that a lambda path factors and checks it once; a Gram that is not PSD
-    raises ValueError before any solve.  A Gram of numerical rank at most
-    _RANK_CUTOFF goes to the interior point and its crossover, with max_iter
-    capping the Newton iterations; any other to coordinate descent, with
-    max_iter capping the epochs.  train takes the fit _Gram.path left in
-    gram_matrix at this lam, tau, tol, max_iter and y, or solves a cold
-    block of one.  Either way the result is box feasible and converged
+    raises ValueError before any solve.  Every Gram goes to the interior
+    point on its pivoted factor and the crossover on the full Gram; a fit
+    the crossover leaves with a gap above tol is finished by coordinate
+    descent.  max_iter caps the Newton steps and, apart, the finishing
+    epochs.  train takes the fit _Gram.path left in gram_matrix at this lam,
+    tau, tol, max_iter and y, or solves a cold block of one.  Either way the result is box feasible and converged
     means a duality gap of at most tol, in objective units; otherwise the
     last iterate comes back with converged=False.  A lambda that is not
     finite and positive, a tol that is not finite and nonnegative, or

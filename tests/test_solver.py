@@ -216,8 +216,8 @@ def test_psd_check_no_weaker_than_eigenvalues():
     # neither point is a pivot: the factorization completes and every
     # residual diagonal is zero to roundoff, so only the off-diagonal
     # residual shows the negative eigenvalue
-    chol = _pivoted_cholesky(g)
-    assert np.max(np.abs(np.diag(g - chol @ chol.T))) <= 1e-12
+    chol, done = _pivoted_cholesky(g)
+    assert done and np.max(np.abs(np.diag(g - chol @ chol.T))) <= 1e-12
     assert np.linalg.eigvalsh(g)[0] < -1e-7
     with pytest.raises(ValueError, match="PSD"):
         train(data, SPEC, 0.1, 0.5, gram_matrix=g)
@@ -315,7 +315,9 @@ def test_tv_svm_factors_its_gram_once(monkeypatch):
     # exact ties in y: rounding that couples the rows of a block shows here
     (dirac_atom_mixture(), 1024, 7, SPEC, 0.5),
     (uniform_noise(), 300, 12, PolynomialKernel(degree=3), 0.3),
-], ids=["uniform", "dirac-atom", "cubic"])
+    # m = 202 past the rank cutoff: the interior point runs on the cut factor
+    (uniform_noise(), 402, 16, MaternKernel(0.5, 0.5), 0.5),
+], ids=["uniform", "dirac-atom", "cubic", "matern-full-rank"])
 def test_tv_svm_fits_match_standalone_train(monkeypatch, model, n, seed, spec, tau):
     from kqr import experiments
     from kqr.experiments import lambda_grid, tv_svm
@@ -339,8 +341,8 @@ def test_tv_svm_fits_match_standalone_train(monkeypatch, model, n, seed, spec, t
         assert diag.duality_gap == alone_diag.duality_gap
 
 
-# the cases of test_tv_svm_fits_match_standalone_train, and a full-rank
-# Matern(1/2) path: m = 202 passes the rank cutoff, so coordinate descent runs
+# the cases of test_tv_svm_fits_match_standalone_train, with a full-rank
+# Matern(1/2) path: m = 202 passes the rank cutoff, so the factor is cut
 @pytest.mark.parametrize("model, n, seed, spec, tau", [
     (uniform_noise(halfwidth=0.5), 512, 11, SPEC, 0.5),
     (dirac_atom_mixture(), 1024, 7, SPEC, 0.5),
@@ -385,12 +387,11 @@ def test_path_certificates_match_a_fresh_gram(monkeypatch, model, n, seed, spec,
 
 def test_train_takes_a_stored_row_only_when_it_matches():
     from kqr.kernels import gram
-    from kqr.solver import _prepare
+    from kqr.solver import _RANK_CUTOFF, _prepare
 
     lams = (2.0**-4, 2.0**-9)
-    # a low-rank Gaussian Gram runs the interior point; m = 260 passes the
-    # rank cutoff for Matern(1/2), where coordinate descent warm-starts the
-    # stored fit at lams[1] from lams[0], and its fits depend on tol
+    # a low-rank Gaussian Gram has a finished factor; m = 260 passes the
+    # rank cutoff for Matern(1/2), whose factor is cut
     for spec, n, seed in [(SPEC, 150, 13), (MaternKernel(0.5, 0.5), 260, 14)]:
         data = sample_joint(uniform_noise(), n, seed=seed)
         halved = Dataset(data.x, 0.5 * data.y)
@@ -399,48 +400,12 @@ def test_train_takes_a_stored_row_only_when_it_matches():
         for d, tau, tol, max_iter in [(data, 0.6, 1e-4, 300), (data, 0.4, 1e-4, 5),
                                       (halved, 0.4, 1e-4, 300), (data, 0.4, 1e-5, 300)]:
             g = _prepare(gram(spec, data.x))
-            assert (g.chol is None) == (spec is not SPEC)
+            assert (g.chol.shape[1] == _RANK_CUTOFF) == (spec is not SPEC)
             g.solve_block(data.y, lams, 0.4, 1e-4, 300)
             fit, diag = train(d, spec, lams[1], tau, tol, max_iter, gram_matrix=g)
             alone, alone_diag = train(d, spec, lams[1], tau, tol, max_iter)
             assert np.array_equal(fit.coef, alone.coef)
             assert diag.iterations == alone_diag.iterations
-
-
-def test_coordinate_descent_path_warm_starts_each_lambda(monkeypatch):
-    """tv_svm on a full-rank Gram equals, bit for bit, the chain that starts
-    the first lambda from zero and each next one from the previous
-    coefficients times lam_prev / lam, clipped to the box."""
-    from kqr import experiments
-    from kqr.experiments import lambda_grid, tv_svm
-    from kqr.kernels import gram
-    from kqr.solver import _bounds, _coordinate_descent
-
-    fits = []
-
-    def recording(*args, **kwargs):
-        model, diag = train(*args, **kwargs)
-        fits.append((model, diag))
-        return model, diag
-
-    monkeypatch.setattr(experiments, "train", recording)
-    spec, n = MaternKernel(0.5, 0.5), 402
-    data = sample_joint(uniform_noise(), n, seed=16)
-    grid = lambda_grid(n)
-    tv_svm(data, spec, grid, 0.5, tol=1e-4, max_iter=300)
-    assert [fit.lam for fit, _ in fits] == list(grid.values)
-    m = n // 2 + 1
-    d1 = data.subset(0, m)
-    g = gram(spec, d1.x)
-    prev = None
-    for fit, diag in fits:
-        lo, up = _bounds(0.5, fit.lam, m)
-        start = np.zeros(m) if prev is None else np.clip(prev[1] * (prev[0] / fit.lam), lo, up)
-        alpha, _, primal, gap, epochs = _coordinate_descent(
-            g, d1.y, fit.lam, 0.5, lo, up, start, 1e-4, 300)
-        assert np.array_equal(fit.coef, alpha), fit.lam
-        assert (diag.iterations, diag.duality_gap, diag.final_objective) == (epochs, gap, primal)
-        prev = fit.lam, alpha
 
 
 def test_rank_four_polynomial_gram():
@@ -450,8 +415,8 @@ def test_rank_four_polynomial_gram():
     spec = PolynomialKernel(degree=3)
     data = sample_joint(uniform_noise(), 300, seed=12)
     g = gram(spec, data.x)
-    chol = _pivoted_cholesky(g)
-    assert chol.shape[1] == 4 and np.max(np.abs(g - chol @ chol.T)) <= 1e-12
+    chol, done = _pivoted_cholesky(g)
+    assert done and chol.shape[1] == 4 and np.max(np.abs(g - chol @ chol.T)) <= 1e-12
     for lam in (1e-2, 1e-5):
         m, diag = train(data, spec, lam, 0.3, tol=1e-8, max_iter=100)
         assert diag.converged and kkt_residual(m, data) <= 1e-8
@@ -479,27 +444,51 @@ def _count_engines(monkeypatch):
 
 
 def test_interior_point_agrees_with_coordinate_descent(monkeypatch):
-    from kqr import solver
+    from kqr.kernels import gram
+    from kqr.solver import _bounds, _coordinate_descent
 
     calls = _count_engines(monkeypatch)
     data = sample_joint(uniform_noise(), 150, seed=13)
     low_rank, d_ip = train(data, SPEC, 0.01, 0.4, tol=1e-10)
     assert calls == {"coordinate_descent": 0, "interior_point": 1}
-    monkeypatch.setattr(solver, "_RANK_CUTOFF", 0)
-    dense, d_cd = train(data, SPEC, 0.01, 0.4, tol=1e-10)
-    assert calls == {"coordinate_descent": 1, "interior_point": 1}
-    assert d_cd.converged and d_ip.converged
-    assert abs(d_ip.final_objective - d_cd.final_objective) <= 1e-8
+    lo, up = _bounds(0.4, 0.01, 150)
+    alpha, _, primal, gap, _ = _coordinate_descent(
+        gram(SPEC, data.x), data.y, 0.01, 0.4, lo, up, np.zeros(150), 1e-10, 1000)
+    dense = SvmModel(support_x=data.x, coef=alpha, kernel=SPEC, lam=0.01, tau=0.4)
+    assert d_ip.converged and gap <= 1e-10
+    assert abs(d_ip.final_objective - primal) <= 1e-8
     assert abs(objective(low_rank, data) - objective(dense, data)) <= 1e-8
 
 
-def test_full_rank_matern_takes_coordinate_descent(monkeypatch):
+def test_full_rank_matern_takes_the_interior_point_on_its_cut_factor(monkeypatch):
+    """Past the rank cutoff the interior point steps on the cut factor and
+    the crossover on the full Gram certifies the fit.  Coordinate descent
+    runs only on a fit the crossover leaves above tol, and its epochs add
+    to the Newton steps."""
     calls = _count_engines(monkeypatch)
     data = sample_joint(uniform_noise(), 260, seed=14)
-    _, diag = train(data, MaternKernel(0.5, 0.5), 0.01, 0.5, tol=1e-10, max_iter=60)
-    assert calls == {"coordinate_descent": 1, "interior_point": 0}
-    assert diag.iterations >= 2
+    spec = MaternKernel(0.5, 0.5)
+    _, diag = train(data, spec, 0.01, 0.5, tol=1e-10, max_iter=60)
+    assert calls == {"coordinate_descent": 0, "interior_point": 1}
+    assert diag.converged and diag.iterations >= 2
     assert diag.duality_gap >= -1e-12
+    # three Newton steps leave the gap above tol: three epochs follow
+    _, diag = train(data, spec, 0.01, 0.5, tol=1e-10, max_iter=3)
+    assert calls == {"coordinate_descent": 1, "interior_point": 2}
+    assert not diag.converged and diag.iterations == 3 + 3
+
+
+def test_full_rank_matern_path_is_certified():
+    """A Matern(5/2) Gram at m = 301 passes the rank cutoff; the Dirac
+    atom's ties in y left coordinate descent with 13 of these 20 fits
+    uncertified, and the interior point on the cut factor certifies all."""
+    from kqr.experiments import lambda_grid, tv_svm
+
+    data = sample_joint(dirac_atom_mixture(), 600, seed=3)
+    result = tv_svm(data, MaternKernel(2.5, 0.5), lambda_grid(600), 0.5, tol=1e-5, max_iter=300)
+    assert len(result.diagnostics) == 20
+    for lam, diag in result.diagnostics.items():
+        assert diag.converged and diag.duality_gap >= -1e-12, lam
 
 
 def _count_psd_work(monkeypatch):
@@ -534,7 +523,7 @@ def _matern_gram(points):
 def test_full_rank_gram_with_a_duplicated_point_is_accepted_by_eigenvalues(monkeypatch):
     """A duplicated point makes a full-rank Matern(1/2) Gram singular: its
     Cholesky fails, and the eigenvalue fallback accepts it as PSD."""
-    from kqr.solver import _prepare
+    from kqr.solver import _RANK_CUTOFF, _prepare
 
     data = sample_joint(uniform_noise(), 300, seed=4)
     x = np.vstack([data.x[:1], data.x])
@@ -542,7 +531,7 @@ def test_full_rank_gram_with_a_duplicated_point_is_accepted_by_eigenvalues(monke
     spec, g = _matern_gram(x)
     calls = _count_psd_work(monkeypatch)
     prepared = _prepare(g)
-    assert prepared.chol is None
+    assert prepared.chol.shape == (301, _RANK_CUTOFF)
     assert calls == {"cholesky": 1, "cholesky_failed": 1, "eigvalsh": 1}
     _, diag = train(Dataset(x, y), spec, 0.05, 0.5, gram_matrix=prepared)
     assert diag.converged
@@ -563,11 +552,11 @@ def test_full_rank_gram_below_psd_tolerance_is_rejected(monkeypatch):
 
 
 def test_full_rank_psd_gram_is_certified_by_one_cholesky(monkeypatch):
-    from kqr.solver import _prepare
+    from kqr.solver import _RANK_CUTOFF, _prepare
 
     data = sample_joint(uniform_noise(), 300, seed=4)
     _, g = _matern_gram(data.x)
     calls = _count_psd_work(monkeypatch)
     prepared = _prepare(g)
-    assert prepared.chol is None and prepared.matrix is g
+    assert prepared.chol.shape == (300, _RANK_CUTOFF) and prepared.matrix is g
     assert calls == {"cholesky": 1, "cholesky_failed": 0, "eigvalsh": 0}
