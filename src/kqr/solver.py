@@ -25,10 +25,10 @@ steps together, one row each, in one Newton loop; each row stops on its own
 test and keeps the bits a solve of that lambda alone gives.  A crossover
 then snaps every coordinate to the bound its multiplier selects and
 polishes the result on the full G.  A fit whose gap is still above tol, as
-a cut factor can leave it, goes on to coordinate descent from the
-crossover's iterate, which projects each Newton step onto the box, with
-pair updates on the worst violators, and polishes its iterate every fifth
-epoch; the smaller of the two gaps is kept.
+a cut factor can leave it, runs the interior point and the crossover again,
+alone, on the m-column dense factor of G that the PSD check computed; the
+smaller of the two gaps is kept.  A finished factor is exact, and its fits
+take no second run.
 
 Each Gram is factored once: a caller that trains along a lambda path
 prepares it with _prepare, walks the grid with _Gram.path, which solves
@@ -36,11 +36,12 @@ it in blocks, and passes it to train as gram_matrix to take each fit.
 The factorization is also the PSD check.  With G = L L' + E and L L' PSD,
 Gershgorin's discs of the residual E bound the smallest eigenvalue of G
 from below.  When the factor is cut, one dense Cholesky of G certifies it
-instead: one that succeeds in floating point bounds the smallest
-eigenvalue below by -O(m^2 eps max_i G_ii), far inside -_PSD_TOL.  The
-exact eigenvalue check runs only when neither certifies the matrix, as
-for a singular Gram of full numerical rank (a duplicated point), and it
-alone decides whether the Gram is rejected.
+instead, and is kept as the dense factor: one that succeeds in floating
+point bounds the smallest eigenvalue below by -O(m^2 eps max_i G_ii), far
+inside -_PSD_TOL.  The exact eigen-solve runs only when neither certifies
+the matrix, as for a singular Gram of full numerical rank (a duplicated
+point); it alone decides whether the Gram is rejected, and it gives a cut
+Gram its dense factor.
 
 Every fit is a box-feasible alpha, certified by one number, the duality
 gap on the full G with f = G alpha,
@@ -49,13 +50,12 @@ gap on the full G with f = G alpha,
 
 in objective units: the fit's objective is at most the gap above the
 optimum.  It reads G once, for f; alpha' G alpha is alpha' f.  A fit
-converged when its gap is at most tol; the gap decides whether coordinate
-descent runs, and coordinate descent stops on it.  Both keep a polish by
-one rule: it solves the iterate's free block exactly on the full G, and
-replaces the iterate when its gap is no larger.  Its f is the iterate's f
-plus the rows of the coordinates it moved, so the crossover makes one full
-pass over G per lambda, plus one for the raw iterate when no polished
-candidate is kept.
+converged when its gap is at most tol; the gap decides whether the second
+run on the dense factor runs.  The crossover's polish solves the iterate's
+free block exactly on the full G, and replaces the iterate when its gap is
+no larger.  Its f is the iterate's f plus the rows of the coordinates it
+moved, so the crossover makes one full pass over G per lambda, plus one for
+the raw iterate when no polished candidate is kept.
 The KKT residual stays as a diagnostic: with r_i = y_i - f(x_i),
 
     r_i >  1e-10  requires alpha_i at the upper bound,
@@ -95,9 +95,6 @@ _MAX_ITER = 1000
 # The KKT residual's tie band around f(x_i) = y_i.
 _TIE_BAND = 1e-10
 _PSD_TOL = 1e-8
-# Coordinate descent sweeps the coordinates in an order drawn afresh every
-# epoch from a generator with this fixed seed, so a fit is reproducible.
-_ORDER_SEED = 0
 # Pivoting stops once every residual diagonal of G - L L' is at most this;
 # the kernels have k(x, x) <= 1, so it is relative to the largest diagonal.
 _PIVOT_TOL = 1e-13
@@ -155,9 +152,9 @@ class SvmModel:
 
 @dataclass(frozen=True)
 class SolveDiagnostics:
-    """How a fit went.  iterations counts the interior point's Newton steps
-    plus any epochs of the coordinate descent that finishes it; duality_gap
-    is P - D of the returned alpha on the full Gram, in objective units, the
+    """How a fit went.  iterations counts the interior point's Newton steps,
+    those of a second run on the dense factor included; duality_gap is
+    P - D of the returned alpha on the full Gram, in objective units, the
     one optimality certificate; converged means it is at most the fit's
     tol; kkt_residual is a diagnostic in alpha units with a tie band of
     1e-10."""
@@ -267,8 +264,7 @@ def _polish(g, y, alpha, lo, up, cap: int = 600, rounds: int = 12):
 def _polished(g, y, lam, tau, fit, lo, up):
     """fit = (alpha, f, P, P - D) with its free block solved by _polish, as
     the same tuple, if that does not raise the gap; otherwise None.  The
-    crossover and coordinate descent finish an iterate by this one rule.
-    The polished f is fit's f plus the rows of the few coordinates the
+    polished f is fit's f plus the rows of the few coordinates the
     polish moved, not a pass over G."""
     alpha, fvals, _, gap = fit
     cand = _polish(g, y, alpha, lo, up)
@@ -278,98 +274,6 @@ def _polished(g, y, lam, tau, fit, lo, up):
     f_cand = fvals + (cand[moved] - alpha[moved]) @ g[moved]
     polished = (cand, f_cand, *_certificate(cand, f_cand, y, lam, tau))
     return polished if polished[3] <= gap else None
-
-
-def _pair_update(g, y, alpha, fvals, i, j, lo, up) -> float:
-    """Exact minimization of the dual over (alpha_i, alpha_j) in the box.
-
-    Resolves the slow zig-zag of plain coordinate descent along the
-    near-flat valley spanned by strongly coupled (near-duplicate) points.
-    Returns the achieved decrease of the local objective (>= 0).
-    """
-    gii, gjj, gij = g[i, i], g[j, j], g[i, j]
-    ci = fvals[i] - gii * alpha[i] - gij * alpha[j] - y[i]
-    cj = fvals[j] - gij * alpha[i] - gjj * alpha[j] - y[j]
-
-    def local(u, v):
-        return gii * u * u + gjj * v * v + 2.0 * gij * u * v + 2.0 * u * ci + 2.0 * v * cj
-
-    candidates = [(alpha[i], alpha[j])]
-    det = gii * gjj - gij * gij
-    if det > 1e-18:
-        u = (-ci * gjj + cj * gij) / det
-        v = (-cj * gii + ci * gij) / det
-        candidates.append((min(max(u, lo), up), min(max(v, lo), up)))
-    for u_edge in (lo, up):
-        if gjj > 1e-14:
-            v = (-cj - gij * u_edge) / gjj
-            candidates.append((u_edge, min(max(v, lo), up)))
-    for v_edge in (lo, up):
-        if gii > 1e-14:
-            u = (-ci - gij * v_edge) / gii
-            candidates.append((min(max(u, lo), up), v_edge))
-
-    base = local(alpha[i], alpha[j])
-    best = min(candidates, key=lambda uv: local(*uv))
-    gain = base - local(*best)
-    if gain > 0.0:
-        du, dv = best[0] - alpha[i], best[1] - alpha[j]
-        alpha[i], alpha[j] = best
-        fvals += du * g[i] + dv * g[j]
-    return max(gain, 0.0)
-
-
-def _pair_sweep(g, y, alpha, fvals, lo, up, count: int = 8) -> None:
-    """Pair updates on the worst KKT violators with their strongest coupler."""
-    viol = _kkt_vector(alpha, fvals, y, lo, up)
-    order = np.argsort(viol)[::-1][:count]
-    for i in order:
-        if viol[i] <= 0.0:
-            break
-        row = np.abs(g[i].copy())
-        row[i] = -np.inf
-        j = int(np.argmax(row))
-        _pair_update(g, y, alpha, fvals, int(i), j, lo, up)
-
-
-def _coordinate_descent(g, y, lam, tau, lo, up, alpha0, tol, max_iter):
-    """Returns (alpha, f, P, P - D, epochs) of the last iterate, f = G alpha."""
-    n = len(y)
-    diag = np.diag(g).copy()
-    alpha = alpha0.copy()
-    fvals = g @ alpha
-    rng = np.random.default_rng(_ORDER_SEED)
-    epochs = 0
-    for epoch in range(max_iter):
-        epochs = epoch + 1
-        order = rng.permutation(n)
-        for i in order:
-            gii = diag[i]
-            if gii <= 1e-14:
-                continue
-            new = alpha[i] + (y[i] - fvals[i]) / gii
-            if new > up:
-                new = up
-            elif new < lo:
-                new = lo
-            d = new - alpha[i]
-            if d != 0.0:
-                alpha[i] = new
-                fvals += d * g[i]
-        # a fresh f = G alpha also kills the incremental drift
-        fvals = g @ alpha
-        primal, gap = _certificate(alpha, fvals, y, lam, tau)
-        if gap > tol:
-            _pair_sweep(g, y, alpha, fvals, lo, up)
-            fvals = g @ alpha
-            primal, gap = _certificate(alpha, fvals, y, lam, tau)
-        if epoch % 5 == 4 and gap > tol:
-            polished = _polished(g, y, lam, tau, (alpha, fvals, primal, gap), lo, up)
-            if polished is not None:
-                alpha, fvals, primal, gap = polished
-        if gap <= tol:
-            break
-    return alpha, fvals, primal, gap, epochs
 
 
 def _pivoted_cholesky(g):
@@ -520,39 +424,47 @@ def _interior_point(chol, y, lams, tau, max_iter):
 @dataclass(frozen=True)
 class _Gram:
     """A Gram matrix checked PSD, with its pivoted Cholesky factor of at
-    most _RANK_CUTOFF columns.  Build it with _prepare.
+    most _RANK_CUTOFF columns and, when that factor was cut, the m-column
+    dense factor of the PSD check (None when the pivoted factor finished).
+    Build it with _prepare.
 
     path solves a lambda grid in blocks with solve_block; each fit waits in
     `solved`, keyed by lambda, until train takes it."""
 
     matrix: np.ndarray
     chol: np.ndarray
+    dense: np.ndarray | None
     solved: dict = field(default_factory=dict)
 
-    def solve_block(self, y, lams, tau, tol, max_iter):
-        """Keep the fit (alpha, f, P, P - D, iterations) of every lambda of
-        lams for train: the interior point steps the block together on the
-        factor, then each row's crossover runs on the full Gram, and a row
-        left with a gap above tol goes on to coordinate descent from the
-        crossover's alpha.  The smaller gap is kept; iterations counts the
-        Newton steps plus those epochs."""
-        y = np.array(y)   # a copy, to match against train's y
+    def _newton(self, chol, y, lams, tau, max_iter):
+        """The fit (alpha, f, P, P - D, iterations) of every lambda of lams:
+        the interior point steps the block together on the factor chol,
+        then each row snaps to the bounds its multipliers select and the
+        crossover finishes it on the full Gram."""
         n = len(y)
-        u, at_lo, at_up, iters = _interior_point(self.chol, y, lams, tau, max_iter)
+        u, at_lo, at_up, iters = _interior_point(chol, y, lams, tau, max_iter)
+        fits = []
         for i, lam in enumerate(lams):
             lo, up = _bounds(tau, lam, n)
-            # crossover: snap to the bounds the multipliers select
             raw = np.clip(u[i] / (2.0 * lam * n), lo, up)
             snapped = raw.copy()
             snapped[at_lo[i]], snapped[at_up[i]] = lo, up
-            fit, steps = _crossover(self.matrix, y, lam, tau, raw, snapped, lo, up), int(iters[i])
-            if fit[3] > tol:
-                *finished, epochs = _coordinate_descent(self.matrix, y, lam, tau, lo, up,
-                                                        fit[0], tol, max_iter)
-                steps += epochs
-                if finished[3] < fit[3]:
-                    fit = finished
-            self.solved[lam] = (tau, tol, max_iter, y, (*fit, steps))
+            fits.append((*_crossover(self.matrix, y, lam, tau, raw, snapped, lo, up),
+                         int(iters[i])))
+        return fits
+
+    def solve_block(self, y, lams, tau, tol, max_iter):
+        """Keep the fit (alpha, f, P, P - D, iterations) of every lambda of
+        lams for train, from _newton on the pivoted factor.  A row left with
+        a gap above tol runs _newton again, alone, on the dense factor when
+        the pivoted one was cut; the smaller gap is kept, and iterations
+        counts the Newton steps of both runs."""
+        y = np.array(y)   # a copy, to match against train's y
+        for lam, fit in zip(lams, self._newton(self.chol, y, lams, tau, max_iter)):
+            if fit[3] > tol and self.dense is not None:
+                (again,) = self._newton(self.dense, y, [lam], tau, max_iter)
+                fit = (*(again if again[3] < fit[3] else fit)[:4], fit[4] + again[4])
+            self.solved[lam] = (tau, tol, max_iter, y, fit)
 
     def path(self, y, lams, tau, tol, max_iter):
         """Solve the descending lams in blocks of _PATH_BLOCK and yield each
@@ -579,9 +491,11 @@ def _prepare(g: np.ndarray) -> _Gram:
     A factor cut at _RANK_CUTOFF: a dense Cholesky of G that succeeds in
     floating point certifies a smallest eigenvalue of at least
     -O(m^2 eps max_i G_ii) (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2002, 10.1), about -7e-11 at m = 800, well inside -_PSD_TOL.  When the Gershgorin
+    Algorithms, 2002, 10.1), about -7e-11 at m = 800, well inside
+    -_PSD_TOL, and it is kept as the dense factor.  When the Gershgorin
     bound is below -_PSD_TOL, or the Cholesky fails (a singular PSD Gram
-    has none either), a dense eigen-solve decides."""
+    has none either), a dense eigen-solve G = V E V' decides, and a cut
+    Gram it accepts keeps V sqrt(max(E, 0)) as its dense factor."""
     chol, done = _pivoted_cholesky(g)
     if done:
         resid = chol @ chol.T
@@ -589,17 +503,16 @@ def _prepare(g: np.ndarray) -> _Gram:
         d = resid.diagonal().copy()
         bound = float(np.min(d + np.abs(d) - np.sum(np.abs(resid, out=resid), axis=1)))
         if bound >= -_PSD_TOL:
-            return _Gram(g, chol)
+            return _Gram(g, chol, None)
     else:
         try:
-            np.linalg.cholesky(g)
-            return _Gram(g, chol)
+            return _Gram(g, chol, np.linalg.cholesky(g))
         except np.linalg.LinAlgError:
             pass
-    min_eig = float(np.linalg.eigvalsh(g)[0])
-    if min_eig < -_PSD_TOL:
-        raise ValueError(f"Gram matrix is not PSD within tolerance: min eig {min_eig:g}")
-    return _Gram(g, chol)
+    eigs, vecs = np.linalg.eigh(g)
+    if eigs[0] < -_PSD_TOL:
+        raise ValueError(f"Gram matrix is not PSD within tolerance: min eig {eigs[0]:g}")
+    return _Gram(g, chol, None if done else vecs * np.sqrt(np.maximum(eigs, 0.0)))
 
 
 def _crossover(g, y, lam, tau, raw, snapped, lo, up):
@@ -636,15 +549,16 @@ def train(
     gram_matrix is the training Gram, or the value _prepare made of it, so
     that a lambda path factors and checks it once; a Gram that is not PSD
     raises ValueError before any solve.  Every Gram goes to the interior
-    point on its pivoted factor and the crossover on the full Gram; a fit
-    the crossover leaves with a gap above tol is finished by coordinate
-    descent.  max_iter caps the Newton steps and, apart, the finishing
-    epochs.  train takes the fit _Gram.path left in gram_matrix at this lam,
-    tau, tol, max_iter and y, or solves a cold block of one.  Either way the result is box feasible and converged
-    means a duality gap of at most tol, in objective units; otherwise the
-    last iterate comes back with converged=False.  A lambda that is not
-    finite and positive, a tol that is not finite and nonnegative, or
-    max_iter < 1 raises ValueError before any work.
+    point on its pivoted factor and the crossover on the full Gram; on a
+    cut factor, a fit the crossover leaves with a gap above tol runs both
+    again on the Gram's dense factor.  max_iter caps the Newton steps of
+    each run.  train takes the fit _Gram.path left in gram_matrix at this
+    lam, tau, tol, max_iter and y, or solves a cold block of one.  Either
+    way the result is box feasible and converged means a duality gap of at
+    most tol, in objective units; otherwise the last iterate comes back
+    with converged=False.  A lambda that is not finite and positive, a tol
+    that is not finite and nonnegative, or max_iter < 1 raises ValueError
+    before any work.
     """
     if not 0 < lam < math.inf:
         raise ValueError("lambda must be finite and positive")

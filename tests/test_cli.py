@@ -339,6 +339,7 @@ def _no_eigendecomposition(monkeypatch):
         raise AssertionError("eigendecomposition before the kernel was validated")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
 
 
 def test_nan_bandwidth_exits_2_before_eigendecomposition(tmp_path, monkeypatch):
@@ -689,7 +690,7 @@ def test_full_rank_train_certifies_its_gram_with_one_cholesky(tmp_path, monkeypa
     Only 2-D calls count: the Newton steps factor (k, r, r) stacks."""
     import numpy as np
 
-    calls = {"cholesky": 0, "eigvalsh": 0}
+    calls = {"cholesky": 0, "eigh": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -698,10 +699,10 @@ def test_full_rank_train_certifies_its_gram_with_one_cholesky(tmp_path, monkeypa
         return wrapper
 
     monkeypatch.setattr(np.linalg, "cholesky", counting("cholesky", np.linalg.cholesky))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     cfg = write_config(tmp_path, MATERN_TRAIN_CFG)
     assert main(["train", "--config", cfg, "--out", str(tmp_path / "o"), "--seed", "1"]) == 0
-    assert calls == {"cholesky": 1, "eigvalsh": 0}
+    assert calls == {"cholesky": 1, "eigh": 0}
 
 
 def _no_factorization(monkeypatch):

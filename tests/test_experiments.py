@@ -254,7 +254,7 @@ def test_an_uncertified_chosen_fit_stops_the_run(monkeypatch):
     real = experiments.tv_svm
     monkeypatch.setattr(experiments, "tv_svm", lambda *a, **kw: calls.append(1) or real(*a, **kw))
     with pytest.raises(experiments.UncertifiedFitError,
-                       match=r"the chosen fit at n=32, rep=0, lambda=0\.0078125 is not "
+                       match=r"the chosen fit at n=32, rep=0, lambda=0\.25 is not "
                              r"certified: duality gap \S+ > tol 0\.0001$"):
         learning_rate_experiment(small_config(max_iter=1))
     assert len(calls) == 1

@@ -298,15 +298,15 @@ def test_tv_svm_factors_its_gram_once(monkeypatch):
                         counting("cholesky", solver._pivoted_cholesky))
     monkeypatch.setattr(solver, "_interior_point",
                         counting("interior_point", solver._interior_point))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
     data = sample_joint(uniform_noise(), 200, seed=15)
     for grid in (lambda_grid(200), lambda_grid(12, "strict")):  # 17 and 144 lambdas
-        calls.update(cholesky=0, eigvalsh=0, interior_point=0)
+        calls.update(cholesky=0, eigh=0, interior_point=0)
         result = tv_svm(data, SPEC, grid, 0.5)
         assert len(result.diagnostics) == len(grid.values)
         # one factorization for the whole path, and it certifies the low-rank
         # Gram PSD without an eigen-solve; one Newton loop per block of lambdas
-        assert calls == {"cholesky": 1, "eigvalsh": 0,
+        assert calls == {"cholesky": 1, "eigh": 0,
                          "interior_point": -(-len(grid.values) // _PATH_BLOCK)}
 
 
@@ -350,7 +350,7 @@ def test_tv_svm_fits_match_standalone_train(monkeypatch, model, n, seed, spec, t
     (uniform_noise(), 402, 16, MaternKernel(0.5, 0.5), 0.5),
 ], ids=["uniform", "dirac-atom", "cubic", "matern-cd"])
 def test_path_certificates_match_a_fresh_gram(monkeypatch, model, n, seed, spec, tau):
-    """Both engines derive f = G alpha of a polished candidate from the
+    """The crossover derives f = G alpha of a polished candidate from the
     iterate's; every reported objective and gap must still be those of
     alpha on the full Gram, recomputed here from scratch."""
     from kqr import experiments
@@ -428,73 +428,97 @@ def test_rank_four_polynomial_gram():
 
 
 def _count_engines(monkeypatch):
-    """Count the calls of each solver engine."""
+    """Record the factor width and the Newton steps of every call of the
+    interior point, one (columns, steps) pair per call."""
     from kqr import solver
 
-    calls = {"coordinate_descent": 0, "interior_point": 0}
-    for name in calls:
-        fn = getattr(solver, "_" + name)
+    calls = []
+    interior_point = solver._interior_point
 
-        def counted(*args, _name=name, _fn=fn, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    def counted(chol, *args, **kwargs):
+        out = interior_point(chol, *args, **kwargs)
+        calls.append((chol.shape[1], int(np.sum(out[3]))))
+        return out
 
-        monkeypatch.setattr(solver, "_" + name, counted)
+    monkeypatch.setattr(solver, "_interior_point", counted)
     return calls
 
 
-def test_interior_point_agrees_with_coordinate_descent(monkeypatch):
+def test_interior_point_agrees_across_factors(monkeypatch):
+    """The fit on the pivoted factor of a low-rank Gram and the fit on the
+    same Gram's m-column eigen factor reach one optimum."""
     from kqr.kernels import gram
-    from kqr.solver import _bounds, _coordinate_descent
+    from kqr.solver import _prepare
 
     calls = _count_engines(monkeypatch)
     data = sample_joint(uniform_noise(), 150, seed=13)
     low_rank, d_ip = train(data, SPEC, 0.01, 0.4, tol=1e-10)
-    assert calls == {"coordinate_descent": 0, "interior_point": 1}
-    lo, up = _bounds(0.4, 0.01, 150)
-    alpha, _, primal, gap, _ = _coordinate_descent(
-        gram(SPEC, data.x), data.y, 0.01, 0.4, lo, up, np.zeros(150), 1e-10, 1000)
-    dense = SvmModel(support_x=data.x, coef=alpha, kernel=SPEC, lam=0.01, tau=0.4)
-    assert d_ip.converged and gap <= 1e-10
+    assert len(calls) == 1 and calls[0][0] < 150
+    g = _prepare(gram(SPEC, data.x))
+    eigs, vecs = np.linalg.eigh(g.matrix)
+    dense = vecs * np.sqrt(np.maximum(eigs, 0.0))
+    (alpha, _, primal, gap, _), = g._newton(dense, data.y, [0.01], 0.4, 1000)
+    assert calls[1][0] == 150
+    other = SvmModel(support_x=data.x, coef=alpha, kernel=SPEC, lam=0.01, tau=0.4)
+    assert d_ip.converged and d_ip.duality_gap <= 1e-10 and gap <= 1e-10
     assert abs(d_ip.final_objective - primal) <= 1e-8
-    assert abs(objective(low_rank, data) - objective(dense, data)) <= 1e-8
+    assert abs(objective(low_rank, data) - objective(other, data)) <= 1e-8
 
 
 def test_full_rank_matern_takes_the_interior_point_on_its_cut_factor(monkeypatch):
     """Past the rank cutoff the interior point steps on the cut factor and
-    the crossover on the full Gram certifies the fit.  Coordinate descent
-    runs only on a fit the crossover leaves above tol, and its epochs add
-    to the Newton steps."""
+    the crossover on the full Gram certifies the fit.  A fit the crossover
+    leaves above tol runs the interior point again on the Gram's dense
+    factor, and its Newton steps add to the first run's."""
     calls = _count_engines(monkeypatch)
     data = sample_joint(uniform_noise(), 260, seed=14)
     spec = MaternKernel(0.5, 0.5)
     _, diag = train(data, spec, 0.01, 0.5, tol=1e-10, max_iter=60)
-    assert calls == {"coordinate_descent": 0, "interior_point": 1}
+    assert [width for width, _ in calls] == [200]
     assert diag.converged and diag.iterations >= 2
     assert diag.duality_gap >= -1e-12
-    # three Newton steps leave the gap above tol: three epochs follow
+    # three Newton steps leave the gap above tol: three more follow on the
+    # 260-column dense factor
     _, diag = train(data, spec, 0.01, 0.5, tol=1e-10, max_iter=3)
-    assert calls == {"coordinate_descent": 1, "interior_point": 2}
+    assert calls[1:] == [(200, 3), (260, 3)]
     assert not diag.converged and diag.iterations == 3 + 3
 
 
-def test_full_rank_matern_path_is_certified():
-    """A Matern(5/2) Gram at m = 301 passes the rank cutoff; the Dirac
-    atom's ties in y left coordinate descent with 13 of these 20 fits
-    uncertified, and the interior point on the cut factor certifies all."""
+@pytest.mark.parametrize("tau, gap", [(0.5, 0.0201), (0.9, 1.1e-9)])
+def test_tiny_lambda_train_on_a_finished_factor_takes_one_run(monkeypatch, tau, gap):
+    """The fit of test_tiny_lambda_fit_at_tau_one_tenth_is_certified at two
+    more levels: the interior point certifies tau = 0.9 and stops at its
+    roundoff bound at tau = 0.5.  The pivoted factor of this Gaussian Gram
+    is finished, hence exact: no second run follows, and iterations are
+    the Newton steps."""
+    calls = _count_engines(monkeypatch)
+    data = sample_joint(uniform_noise(), 60, seed=3)
+    _, diag = train(data, SPEC, 1e-9, tau)
+    assert len(calls) == 1 and calls[0][0] < 60
+    assert diag.iterations == calls[0][1]
+    assert diag.duality_gap == pytest.approx(gap, rel=0.05)
+    assert diag.converged == (tau != 0.5)
+
+
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_full_rank_matern_path_is_certified(nu):
+    """A Matern(nu) Gram at m = 301 passes the rank cutoff.  On the Dirac
+    atom's ties in y, the cut factor alone left one nu = 3/2 fit
+    uncertified (lambda = 2^-17, gap 1.1e-5); its second run on the dense
+    factor certifies all 20."""
     from kqr.experiments import lambda_grid, tv_svm
 
     data = sample_joint(dirac_atom_mixture(), 600, seed=3)
-    result = tv_svm(data, MaternKernel(2.5, 0.5), lambda_grid(600), 0.5, tol=1e-5, max_iter=300)
+    result = tv_svm(data, MaternKernel(nu, 0.5), lambda_grid(600), 0.5, tol=1e-5, max_iter=300)
     assert len(result.diagnostics) == 20
     for lam, diag in result.diagnostics.items():
         assert diag.converged and diag.duality_gap >= -1e-12, lam
 
 
 def _count_psd_work(monkeypatch):
-    """Count np.linalg.cholesky calls, their failures and eigvalsh calls."""
-    calls = {"cholesky": 0, "cholesky_failed": 0, "eigvalsh": 0}
-    cholesky, eigvalsh = np.linalg.cholesky, np.linalg.eigvalsh
+    """Count np.linalg.cholesky calls, their failures and eigh calls."""
+    calls = {"cholesky": 0, "cholesky_failed": 0, "eigh": 0}
+    cholesky, eigh = np.linalg.cholesky, np.linalg.eigh
 
     def counted_cholesky(*args, **kwargs):
         calls["cholesky"] += 1
@@ -504,12 +528,12 @@ def _count_psd_work(monkeypatch):
             calls["cholesky_failed"] += 1
             raise
 
-    def counted_eigvalsh(*args, **kwargs):
-        calls["eigvalsh"] += 1
-        return eigvalsh(*args, **kwargs)
+    def counted_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "cholesky", counted_cholesky)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     return calls
 
 
@@ -522,7 +546,8 @@ def _matern_gram(points):
 
 def test_full_rank_gram_with_a_duplicated_point_is_accepted_by_eigenvalues(monkeypatch):
     """A duplicated point makes a full-rank Matern(1/2) Gram singular: its
-    Cholesky fails, and the eigenvalue fallback accepts it as PSD."""
+    Cholesky fails, and the eigenvalue fallback accepts it as PSD and gives
+    it an eigen factor, on which the fits at small lambdas are certified."""
     from kqr.solver import _RANK_CUTOFF, _prepare
 
     data = sample_joint(uniform_noise(), 300, seed=4)
@@ -531,10 +556,16 @@ def test_full_rank_gram_with_a_duplicated_point_is_accepted_by_eigenvalues(monke
     spec, g = _matern_gram(x)
     calls = _count_psd_work(monkeypatch)
     prepared = _prepare(g)
-    assert prepared.chol.shape == (301, _RANK_CUTOFF)
-    assert calls == {"cholesky": 1, "cholesky_failed": 1, "eigvalsh": 1}
-    _, diag = train(Dataset(x, y), spec, 0.05, 0.5, gram_matrix=prepared)
-    assert diag.converged
+    assert prepared.chol.shape == (301, _RANK_CUTOFF) and prepared.dense.shape == (301, 301)
+    assert calls == {"cholesky": 1, "cholesky_failed": 1, "eigh": 1}
+    engines = _count_engines(monkeypatch)
+    for lam in (0.05, 1e-3, 1e-5):
+        engines.clear()
+        _, diag = train(Dataset(x, y), spec, lam, 0.5, gram_matrix=prepared)
+        assert diag.converged, lam
+        # the cut factor certifies lambda = 0.05 alone; the smaller two take
+        # a second run on the eigen factor
+        assert [width for width, _ in engines] == ([200] if lam == 0.05 else [200, 301])
 
 
 def test_full_rank_gram_below_psd_tolerance_is_rejected(monkeypatch):
@@ -548,7 +579,7 @@ def test_full_rank_gram_below_psd_tolerance_is_rejected(monkeypatch):
     calls = _count_psd_work(monkeypatch)
     with pytest.raises(ValueError, match="Gram matrix is not PSD within tolerance: min eig -1e-06"):
         _prepare(g)
-    assert calls == {"cholesky": 1, "cholesky_failed": 1, "eigvalsh": 1}
+    assert calls == {"cholesky": 1, "cholesky_failed": 1, "eigh": 1}
 
 
 def test_full_rank_psd_gram_is_certified_by_one_cholesky(monkeypatch):
@@ -559,4 +590,6 @@ def test_full_rank_psd_gram_is_certified_by_one_cholesky(monkeypatch):
     calls = _count_psd_work(monkeypatch)
     prepared = _prepare(g)
     assert prepared.chol.shape == (300, _RANK_CUTOFF) and prepared.matrix is g
-    assert calls == {"cholesky": 1, "cholesky_failed": 0, "eigvalsh": 0}
+    assert calls == {"cholesky": 1, "cholesky_failed": 0, "eigh": 0}
+    # the Cholesky that certified it is kept as the dense factor
+    assert np.allclose(prepared.dense @ prepared.dense.T, g, rtol=0, atol=1e-12)
