@@ -38,7 +38,7 @@ print(f"coefficients at bounds: {np.sum(fitted.coef == lo)} low, "
       f"{np.sum(fitted.coef == up)} high, "
       f"{np.sum((fitted.coef != lo) & (fitted.coef != up))} free")
 
-residuals = data.y - np.atleast_1d(predict(fitted, data.x))
+residuals = data.y - predict(fitted, data.x)
 below = np.mean(residuals < -1e-8)
 print(f"fraction of y below the fit: {below:.3f}  (tau = {tau})")
 

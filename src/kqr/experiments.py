@@ -130,8 +130,9 @@ def tv_svm(
     Gram is factored and checked PSD once for the whole path, and its
     _Gram.path solves the grid in blocks; train is called once per lambda
     to take the finished fit, which has the bits of a train call at that
-    lambda alone.  A fit converged when its duality gap is at most tol.  A tol that is not finite
-    and nonnegative, or max_iter < 1, raises ValueError before the Gram is built.
+    lambda alone.  A fit converged when its duality gap is at most tol.  A
+    tol that is not finite and nonnegative, or max_iter < 1, raises
+    ValueError before the Gram is built.
     """
     n = len(data)
     if n < 3:
@@ -332,7 +333,7 @@ def learning_rate_experiment(config: RateConfig) -> RateReport:
                     f"is not certified: duality gap {chosen.duality_gap:.3g} > tol {config.tol:g}")
 
             def f(xs):
-                return np.atleast_1d(predict_clipped(result.model, xs))
+                return predict_clipped(result.model, xs)
 
             # excess risk and distance from one evaluation of f on the nodes
             risks = _evaluate(config.model, tv, [f], ("excess", "dist"), r=exps["r"])

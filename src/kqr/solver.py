@@ -22,10 +22,11 @@ with one r x r core per lambda, O(n r^2) (the low-rank interior point of
 Fine & Scheinberg, JMLR 2001).  The iteration count does not grow as lambda
 shrinks.  The lambdas of a path share L, y and tau, so a block of them
 steps together, one row each, in one Newton loop; each row stops on its own
-test and keeps the bits a solve of that lambda alone gives.  A crossover
-then snaps every coordinate to the bound its multiplier selects and
-polishes the result on the full G.  A fit whose gap is still above tol, as
-a cut factor can leave it, runs the interior point and the crossover again,
+test and keeps the bits a solve of that lambda alone gives.  One
+finishing step, _crossover, takes each row of the interior point to a fit
+on the full G: it snaps every coordinate to the bound its multiplier
+selects and polishes the result.  A fit whose gap is still above tol, as a
+cut factor can leave it, runs the interior point and the crossover again,
 alone, on the m-column dense factor of G that the PSD check computed; the
 smaller of the two gaps is kept.  A finished factor is exact, and its fits
 take no second run.
@@ -50,12 +51,10 @@ gap on the full G with f = G alpha,
 
 in objective units: the fit's objective is at most the gap above the
 optimum.  It reads G once, for f; alpha' G alpha is alpha' f.  A fit
-converged when its gap is at most tol; the gap decides whether the second
-run on the dense factor runs.  The crossover's polish solves the iterate's
-free block exactly on the full G, and replaces the iterate when its gap is
-no larger.  Its f is the iterate's f plus the rows of the coordinates it
-moved, so the crossover makes one full pass over G per lambda, plus one for
-the raw iterate when no polished candidate is kept.
+converged when its gap is at most tol.  The gap decides whether the second
+run on the dense factor runs, and which of the polished, snapped and raw
+iterates the crossover keeps; that takes one full pass over G per lambda,
+plus one for the raw iterate when no polished fit is kept.
 The KKT residual stays as a diagnostic: with r_i = y_i - f(x_i),
 
     r_i >  1e-10  requires alpha_i at the upper bound,
@@ -166,12 +165,10 @@ class SolveDiagnostics:
     duality_gap: float
 
 
-def predict(model: SvmModel, x) -> np.ndarray | float:
+def predict(model: SvmModel, x) -> np.ndarray:
+    """f at each row of x, one value per row, as an array."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    out = model.kernel.pairwise(x, model.support_x) @ model.coef
-    if out.shape[0] == 1:
-        return float(out[0])
-    return out
+    return model.kernel.pairwise(x, model.support_x) @ model.coef
 
 
 def predict_clipped(model: SvmModel, x):
@@ -182,9 +179,7 @@ def objective(model: SvmModel, data: Dataset) -> float:
     """lam * ||f||_H^2 + empirical pinball risk on the data."""
     g = gram(model.kernel, model.support_x)
     reg = float(model.coef @ g @ model.coef)
-    def f(xs):
-        return np.atleast_1d(predict(model, xs))
-    return model.lam * reg + empirical_risk(model.tau, data, f)
+    return model.lam * reg + empirical_risk(model.tau, data, lambda xs: predict(model, xs))
 
 
 def _check_stopping(tol, max_iter) -> None:
@@ -221,7 +216,7 @@ def kkt_residual(model: SvmModel, data: Dataset) -> float:
     if model.support_x.shape != data.x.shape or not np.array_equal(model.support_x, data.x):
         raise ValueError("kkt_residual expects the model's own training data")
     lo, up = _bounds(model.tau, model.lam, n)
-    fvals = np.atleast_1d(predict(model, data.x))
+    fvals = predict(model, data.x)
     return float(np.max(_kkt_vector(model.coef, fvals, data.y, lo, up)))
 
 
@@ -234,17 +229,18 @@ def _certificate(alpha, fvals, y, lam, tau) -> tuple[float, float]:
     return primal, primal - (2.0 * lam * float(alpha @ y) - lam * reg)
 
 
-def _polish(g, y, alpha, lo, up, cap: int = 600, rounds: int = 12):
+def _polish(g, y, alpha, lo, up):
     """Solve the coordinates not parked at a bound as a small box QP via a
-    shrinking active-set loop (equality solve, clip violators to their
-    bounds, drop them from the working set).  Returns the new iterate, or
-    None when no coordinate or more than `cap` of them are free."""
+    shrinking active-set loop of at most 12 rounds (equality solve, clip
+    violators to their bounds, drop them from the working set).  Returns
+    the new iterate, or None when no coordinate or more than 600 of them
+    are free."""
     work = np.where((alpha != lo) & (alpha != up))[0]
-    if len(work) == 0 or len(work) > cap:
+    if len(work) == 0 or len(work) > 600:
         return None
     a = alpha.copy()
     idx = np.arange(len(y))
-    for _ in range(rounds):
+    for _ in range(12):
         if len(work) == 0:
             break
         others = np.setdiff1d(idx, work, assume_unique=True)
@@ -259,21 +255,6 @@ def _polish(g, y, alpha, lo, up, cap: int = 600, rounds: int = 12):
             break
         work = work[inside]
     return a
-
-
-def _polished(g, y, lam, tau, fit, lo, up):
-    """fit = (alpha, f, P, P - D) with its free block solved by _polish, as
-    the same tuple, if that does not raise the gap; otherwise None.  The
-    polished f is fit's f plus the rows of the few coordinates the
-    polish moved, not a pass over G."""
-    alpha, fvals, _, gap = fit
-    cand = _polish(g, y, alpha, lo, up)
-    if cand is None:
-        return None
-    moved = np.flatnonzero(cand != alpha)
-    f_cand = fvals + (cand[moved] - alpha[moved]) @ g[moved]
-    polished = (cand, f_cand, *_certificate(cand, f_cand, y, lam, tau))
-    return polished if polished[3] <= gap else None
 
 
 def _pivoted_cholesky(g):
@@ -438,20 +419,11 @@ class _Gram:
 
     def _newton(self, chol, y, lams, tau, max_iter):
         """The fit (alpha, f, P, P - D, iterations) of every lambda of lams:
-        the interior point steps the block together on the factor chol,
-        then each row snaps to the bounds its multipliers select and the
-        crossover finishes it on the full Gram."""
-        n = len(y)
+        the interior point steps the block together on the factor chol, and
+        _crossover finishes each row on the full Gram."""
         u, at_lo, at_up, iters = _interior_point(chol, y, lams, tau, max_iter)
-        fits = []
-        for i, lam in enumerate(lams):
-            lo, up = _bounds(tau, lam, n)
-            raw = np.clip(u[i] / (2.0 * lam * n), lo, up)
-            snapped = raw.copy()
-            snapped[at_lo[i]], snapped[at_up[i]] = lo, up
-            fits.append((*_crossover(self.matrix, y, lam, tau, raw, snapped, lo, up),
-                         int(iters[i])))
-        return fits
+        return [(*_crossover(self.matrix, y, lam, tau, *row), int(k))
+                for lam, *row, k in zip(lams, u, at_lo, at_up, iters)]
 
     def solve_block(self, y, lams, tau, tol, max_iter):
         """Keep the fit (alpha, f, P, P - D, iterations) of every lambda of
@@ -515,20 +487,35 @@ def _prepare(g: np.ndarray) -> _Gram:
     return _Gram(g, chol, None if done else vecs * np.sqrt(np.maximum(eigs, 0.0)))
 
 
-def _crossover(g, y, lam, tau, raw, snapped, lo, up):
-    """The snapped iterate's polish, if _polished keeps it; otherwise
-    whichever of the snapped and the raw iterate has the smaller gap.
-    Exact ties in y can make the free block singular, and its solve then
-    lands far from the optimum.  Returns (alpha, f, P, P - D) of the one
-    kept.
+def _crossover(g, y, lam, tau, u, at_lo, at_up):
+    """Finish one row (u, at_lo, at_up) of _interior_point on the full Gram
+    g; returns (alpha, f, P, P - D) of the fit it keeps.
 
-    One pass over G gives the snapped f, and the raw f is paid for only
-    when no polished candidate is kept."""
+    The raw iterate is u / (2 lam m) clipped to the box, and the snapped
+    one moves each coordinate to the bound its multiplier selects.  _polish
+    solves the snapped iterate's free block, and that fit is kept when its
+    gap is no larger than the snapped one's; otherwise whichever of the
+    snapped and the raw iterate has the smaller gap, the snapped on a tie.
+    Exact ties in y can make the free block singular, and its solve then
+    lands far from the optimum.
+
+    One pass over G gives the snapped f; the polished f is that f plus the
+    rows of the few coordinates the polish moved, and the raw f is paid for
+    only when no polished fit is kept."""
+    m = len(y)
+    lo, up = _bounds(tau, lam, m)
+    raw = np.clip(u / (2.0 * lam * m), lo, up)
+    snapped = raw.copy()
+    snapped[at_lo], snapped[at_up] = lo, up
     f_snap = g @ snapped
     snap = (snapped, f_snap, *_certificate(snapped, f_snap, y, lam, tau))
-    polished = _polished(g, y, lam, tau, snap, lo, up)
-    if polished is not None:
-        return polished
+    cand = _polish(g, y, snapped, lo, up)
+    if cand is not None:
+        moved = np.flatnonzero(cand != snapped)
+        f_cand = f_snap + (cand[moved] - snapped[moved]) @ g[moved]
+        polished = (cand, f_cand, *_certificate(cand, f_cand, y, lam, tau))
+        if polished[3] <= snap[3]:
+            return polished
     f_raw = g @ raw
     unsnapped = (raw, f_raw, *_certificate(raw, f_raw, y, lam, tau))
     return snap if snap[3] <= unsnapped[3] else unsnapped

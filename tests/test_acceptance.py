@@ -184,7 +184,7 @@ def test_criterion_07_quantile_fraction():
     for seed in range(10):
         data = sample_joint(model, 500, seed=3000 + seed)
         m, _ = train(data, SPEC, 1e-3, tau, tol=1e-6, max_iter=400)
-        fvals = np.atleast_1d(predict(m, data.x))
+        fvals = predict(m, data.x)
         r = data.y - fvals
         band = 1e-8
         s = int(np.sum(np.abs(r) <= band))

@@ -5,6 +5,8 @@ deleted name fail this suite, not the benchmark run."""
 
 from pathlib import Path
 
+import pytest
+
 BENCH = Path(__file__).resolve().parent.parent / "kqrbench"
 
 
@@ -39,3 +41,24 @@ def test_traced_calibration_round_sees_every_call_through_the_memos(tmp_path, mo
     assert workload.same(plain, traced)
     assert tracer.calls["inner_risk.noise_frame"] == checks == 72
     assert tracer.calls["distributions.gamma_inv_norm"] == checks
+
+
+@pytest.mark.parametrize("name", ["Rates", "Cli"])
+def test_traced_solver_round_passes_the_benchmark_checks(tmp_path, monkeypatch, name):
+    """A plain and a traced round of each solver workload give the same
+    outputs, and the traced one passes the workload's own checks: every
+    fit certified against the oracles' Gram, and the tracer's reads of
+    each fit's diagnostics still work."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    import run
+    import spans
+    import workloads
+
+    workload = getattr(workloads, name)(1, tmp_path)
+    workload.setup()
+    plain, _ = run._round(workload)
+    traced, _ = run._round(workload, spans.Tracer())
+    assert workload.same(plain, traced)
+    check = workload.check(traced)
+    assert check.ops > 0
+    assert check.failed == set() and check.problems == []

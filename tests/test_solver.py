@@ -59,6 +59,7 @@ def test_predict_examples():
     data = one_point_data()
     m, _ = train(data, UNIT_SPEC, 1.0, 0.5)
     assert predict(m, np.array([[0.0]])) == pytest.approx(0.25, abs=1e-12)
+    assert predict(m, np.array([[0.0]])).shape == (1,)
     zero = SvmModel(data.x, np.zeros(1), UNIT_SPEC, 1.0, 0.5)
     assert predict(zero, np.array([[0.3]])) == 0.0
     doubled = SvmModel(m.support_x, 2.0 * m.coef, m.kernel, m.lam, m.tau)
@@ -179,8 +180,8 @@ def test_clipping_never_hurts_training_risk():
     model = uniform_noise()
     data = sample_joint(model, 100, seed=6)
     m, _ = train(data, SPEC, 1e-4, 0.3, tol=1e-5, max_iter=200)
-    raw = empirical_risk(0.3, data, lambda xs: np.atleast_1d(predict(m, xs)))
-    clipped = empirical_risk(0.3, data, lambda xs: np.atleast_1d(predict_clipped(m, xs)))
+    raw = empirical_risk(0.3, data, lambda xs: predict(m, xs))
+    clipped = empirical_risk(0.3, data, lambda xs: predict_clipped(m, xs))
     assert clipped <= raw + 1e-12
 
 
@@ -190,7 +191,7 @@ def test_quantile_fraction_property():
     for seed in range(5):
         data = sample_joint(model, 500, seed=70 + seed)
         m, diag = train(data, SPEC, 1e-3, tau, tol=1e-6, max_iter=400)
-        fvals = np.atleast_1d(predict(m, data.x))
+        fvals = predict(m, data.x)
         r = data.y - fvals
         band = 1e-8
         s = int(np.sum(np.abs(r) <= band))
@@ -348,7 +349,7 @@ def test_tv_svm_fits_match_standalone_train(monkeypatch, model, n, seed, spec, t
     (dirac_atom_mixture(), 1024, 7, SPEC, 0.5),
     (uniform_noise(), 300, 12, PolynomialKernel(degree=3), 0.3),
     (uniform_noise(), 402, 16, MaternKernel(0.5, 0.5), 0.5),
-], ids=["uniform", "dirac-atom", "cubic", "matern-cd"])
+], ids=["uniform", "dirac-atom", "cubic", "matern-full-rank"])
 def test_path_certificates_match_a_fresh_gram(monkeypatch, model, n, seed, spec, tau):
     """The crossover derives f = G alpha of a polished candidate from the
     iterate's; every reported objective and gap must still be those of
@@ -383,6 +384,51 @@ def test_path_certificates_match_a_fresh_gram(monkeypatch, model, n, seed, spec,
         bound = 16.0 * m * eps * scale
         assert abs(diag.final_objective - primal) <= bound, fit.lam
         assert abs(diag.duality_gap - (primal - dual)) <= bound, fit.lam
+
+
+def test_crossover_keeps_no_fit_worse_than_the_raw_or_snapped_iterate(monkeypatch):
+    """The crossover builds a raw and a snapped iterate from each row of the
+    interior point, and returns the polished, the snapped or the raw one.
+    Recomputed here from the interior point's rows, on a fresh Gram, neither
+    candidate has a smaller gap than the fit returned.  Exact ties in y
+    make this Dirac-atom path reach all three outcomes."""
+    from kqr import experiments, solver
+    from kqr.experiments import lambda_grid, tv_svm
+
+    rows = {}
+    interior_point = solver._interior_point
+
+    def recording_rows(chol, y, lams, tau, max_iter):
+        out = interior_point(chol, y, lams, tau, max_iter)
+        for i, lam in enumerate(lams):
+            rows[lam] = tuple(v[i] for v in out[:3])
+        return out
+
+    fits = []
+
+    def recording(*args, **kwargs):
+        model, diag = train(*args, **kwargs)
+        fits.append((args[0], model))
+        return model, diag
+
+    monkeypatch.setattr(solver, "_interior_point", recording_rows)
+    monkeypatch.setattr(experiments, "train", recording)
+    data = sample_joint(dirac_atom_mixture(), 256, seed=1)
+    tv_svm(data, SPEC, lambda_grid(256), 0.5, tol=1e-4, max_iter=300)
+    kept = set()
+    for d1, fit in fits:
+        lam, m = fit.lam, len(d1)
+        u, at_lo, at_up = rows[lam]
+        lo, up = -0.5 / (2 * lam * m), 0.5 / (2 * lam * m)
+        raw = np.clip(u / (2 * lam * m), lo, up)
+        snapped = raw.copy()
+        snapped[at_lo], snapped[at_up] = lo, up
+        gap_raw, gap_snap, gap = (own_gap(d1.x, d1.y, a, lam, 0.5, 0.5)
+                                  for a in (raw, snapped, fit.coef))
+        assert gap <= gap_raw and gap <= gap_snap, lam
+        kept.add("raw" if np.array_equal(fit.coef, raw)
+                 else "snapped" if np.array_equal(fit.coef, snapped) else "polished")
+    assert kept == {"raw", "snapped", "polished"}
 
 
 def test_train_takes_a_stored_row_only_when_it_matches():
